@@ -173,27 +173,23 @@ struct FabricStatsOut {
   double events_per_sec = 0;
   double allocs_per_packet = 0;
   std::uint64_t packets = 0;
-  std::uint64_t express_commits = 0;
-  std::uint64_t express_fallbacks = 0;
 };
 
-/// Traffic shape: kRing streams node -> node+1 (disjoint paths, the express
-/// fast path's best case); kIncast streams every node -> node 0 (ejection
-/// contention, the express fallback's worst case).
+/// Traffic shape: kRing streams node -> node+1 (disjoint paths, no
+/// contention); kIncast streams every node -> node 0 (ejection
+/// contention).
 enum class Pattern { kRing, kIncast };
 
 /// `record` arms the cluster's flight recorder, so every message/packet
 /// actually writes span records (the armed-and-recording cost, as opposed
 /// to bench_chain's armed-but-idle cost).
 FabricStatsOut bench_fabric(std::uint64_t messages, std::uint64_t msg_bytes,
-                            Pattern pattern, bool express,
-                            bool record = false) {
+                            Pattern pattern, bool record = false) {
   namespace net = rvma::net;
   namespace nic = rvma::nic;
   net::NetworkConfig cfg;
   cfg.topology = net::TopologyKind::kStar;
   cfg.nodes_hint = 8;
-  cfg.express = express;
   rvma::cluster::Cluster cluster(cfg, nic::NicParams{});
   if (record) cluster.arm_flight_recorder();
   const int n = cluster.num_nodes();
@@ -251,8 +247,6 @@ FabricStatsOut bench_fabric(std::uint64_t messages, std::uint64_t msg_bytes,
   out.events_per_sec = static_cast<double>(events) / dt;
   out.allocs_per_packet =
       static_cast<double>(g_alloc_count - allocs_before) / pkts;
-  out.express_commits = cluster.network().fabric().stats().express_commits;
-  out.express_fallbacks = cluster.network().fabric().stats().express_fallbacks;
   if (received == 0) std::printf("unreachable\n");
   return out;
 }
@@ -538,19 +532,15 @@ int main(int argc, char** argv) {
   const RunStats chain = bench_chain(4'000'000);
   const RunStats fanout = bench_fanout(2'000'000, 4096);
   const FabricStatsOut fabric =
-      bench_fabric(40'000, 64 * 1024, Pattern::kRing, true);
-  const FabricStatsOut fabric_hop =
-      bench_fabric(40'000, 64 * 1024, Pattern::kRing, false);
+      bench_fabric(40'000, 64 * 1024, Pattern::kRing);
   const FabricStatsOut incast =
-      bench_fabric(20'000, 64 * 1024, Pattern::kIncast, true);
-  const FabricStatsOut incast_hop =
-      bench_fabric(20'000, 64 * 1024, Pattern::kIncast, false);
+      bench_fabric(20'000, 64 * 1024, Pattern::kIncast);
   // Flight-recorder overhead: armed-but-idle on the chain (the event
   // loop must not slow down) and armed-and-recording on the fabric (the
   // real per-span cost). run_bench.sh bounds the chain delta at 5%.
   const RunStats chain_rec = bench_chain(4'000'000, /*with_recorder=*/true);
   const FabricStatsOut fabric_rec =
-      bench_fabric(40'000, 64 * 1024, Pattern::kRing, true, /*record=*/true);
+      bench_fabric(40'000, 64 * 1024, Pattern::kRing, /*record=*/true);
   const std::vector<ShardRow> shards = bench_pdes_shards();
   const WindowGateRow windows_gate = bench_pdes_windows();
   const PaperScaleRow paper_alg =
@@ -567,8 +557,6 @@ int main(int argc, char** argv) {
   }
 
   const double speedup = chain.events_per_sec / kBaselineChainEventsPerSec;
-  const double express_speedup =
-      fabric.packets_per_sec / fabric_hop.packets_per_sec;
   const double recorder_chain_overhead_pct =
       100.0 * (1.0 - chain_rec.events_per_sec / chain.events_per_sec);
   const double recorder_fabric_overhead_pct =
@@ -578,17 +566,11 @@ int main(int argc, char** argv) {
               chain.events_per_sec / 1e6, chain.allocs_per_event);
   std::printf("fanout: %.2fM events/s, %.3f allocs/event\n",
               fanout.events_per_sec / 1e6, fanout.allocs_per_event);
-  std::printf(
-      "fabric: %.2fM packets/s, %.2fM events/s, %.3f allocs/packet "
-      "(%llu express commits, %llu fallbacks)\n",
-      fabric.packets_per_sec / 1e6, fabric.events_per_sec / 1e6,
-      fabric.allocs_per_packet,
-      static_cast<unsigned long long>(fabric.express_commits),
-      static_cast<unsigned long long>(fabric.express_fallbacks));
-  std::printf("fabric --no-express: %.2fM packets/s (%.2fx express speedup)\n",
-              fabric_hop.packets_per_sec / 1e6, express_speedup);
-  std::printf("incast: %.2fM packets/s express, %.2fM packets/s hop-by-hop\n",
-              incast.packets_per_sec / 1e6, incast_hop.packets_per_sec / 1e6);
+  std::printf("fabric: %.2fM packets/s, %.2fM events/s, %.3f allocs/packet\n",
+              fabric.packets_per_sec / 1e6, fabric.events_per_sec / 1e6,
+              fabric.allocs_per_packet);
+  std::printf("incast: %.2fM packets/s, %.3f allocs/packet\n",
+              incast.packets_per_sec / 1e6, incast.allocs_per_packet);
   std::printf(
       "recorder: chain %.2fM events/s armed (%.2f%% overhead), "
       "fabric %.2fM packets/s recording (%.2f%% overhead)\n",
@@ -671,11 +653,7 @@ int main(int argc, char** argv) {
                "    \"fabric_packets_per_sec\": %.0f,\n"
                "    \"fabric_events_per_sec\": %.0f,\n"
                "    \"fabric_allocs_per_packet\": %.3f,\n"
-               "    \"fabric_express_commits\": %llu,\n"
-               "    \"fabric_noexpress_packets_per_sec\": %.0f,\n"
-               "    \"fabric_noexpress_allocs_per_packet\": %.3f,\n"
                "    \"incast_packets_per_sec\": %.0f,\n"
-               "    \"incast_noexpress_packets_per_sec\": %.0f,\n"
                "    \"incast_allocs_per_packet\": %.3f\n"
                "  },\n",
                kBaselineChainEventsPerSec, kBaselineFanoutEventsPerSec,
@@ -683,10 +661,7 @@ int main(int argc, char** argv) {
                chain.events_per_sec, chain.allocs_per_event,
                fanout.events_per_sec, fanout.allocs_per_event,
                fabric.packets_per_sec, fabric.events_per_sec,
-               fabric.allocs_per_packet,
-               static_cast<unsigned long long>(fabric.express_commits),
-               fabric_hop.packets_per_sec, fabric_hop.allocs_per_packet,
-               incast.packets_per_sec, incast_hop.packets_per_sec,
+               fabric.allocs_per_packet, incast.packets_per_sec,
                incast.allocs_per_packet);
   // Key names must not collide with the "current" block's: run_bench.sh
   // extracts gate inputs with `sed | tail -n 1` over the whole file.
@@ -803,11 +778,10 @@ int main(int argc, char** argv) {
           static_cast<double>(paper_alg.route_table_bytes + 1));
   std::fprintf(f,
                "  \"peak_rss_bytes\": %llu,\n"
-               "  \"speedup_chain_events_per_sec\": %.3f,\n"
-               "  \"speedup_fabric_express_vs_noexpress\": %.3f\n"
+               "  \"speedup_chain_events_per_sec\": %.3f\n"
                "}\n",
                static_cast<unsigned long long>(rvma::peak_rss_bytes()),
-               speedup, express_speedup);
+               speedup);
   std::fclose(f);
   std::printf("wrote %s\n", out_path);
   return 0;

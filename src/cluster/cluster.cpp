@@ -157,10 +157,10 @@ Cluster::Cluster(const net::NetworkConfig& net_config,
   }
 
   // One NIC per node, living on the shard that owns its switch: delivery
-  // and the express-rx hook register only there, so a packet reaching its
-  // ejection switch is always on the right shard. NICs are arena-allocated
-  // per shard: resolve every node's shard first, size one slab per shard,
-  // then placement-construct in node order.
+  // registers only there, so a packet reaching its ejection switch is
+  // always on the right shard. NICs are arena-allocated per shard: resolve
+  // every node's shard first, size one slab per shard, then
+  // placement-construct in node order.
   const int n = s0.network->num_nodes();
   shard_of_node_.resize(static_cast<std::size_t>(n), 0);
   std::vector<std::size_t> shard_nics(static_cast<std::size_t>(k), 0);
@@ -257,9 +257,6 @@ net::FabricStats Cluster::fabric_stats() const {
     total.route_cache_hits += fs.route_cache_hits;
     total.max_port_backlog = std::max(total.max_port_backlog,
                                       fs.max_port_backlog);
-    total.express_commits += fs.express_commits;
-    total.express_fallbacks += fs.express_fallbacks;
-    total.express_remats += fs.express_remats;
   }
   return total;
 }

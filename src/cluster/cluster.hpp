@@ -247,10 +247,6 @@ class ClusterBuilder {
     net_.seed = s;
     return *this;
   }
-  ClusterBuilder& express(bool on) {
-    net_.express = on;
-    return *this;
-  }
   /// Number of parallel engine shards (1 = serial; clamped to the switch
   /// count and to 1 whenever exact sharding is impossible — see Cluster).
   ClusterBuilder& par_shards(int k) {

@@ -1,7 +1,7 @@
 // Status codes shared by the RVMA core API and the RDMA baseline model.
 //
 // The paper's API returns `RVMA_Status`; this enum is the C++ spelling, and
-// the C wrappers in core/rvma_c_api.h map it 1:1.
+// the C surface in api/rvma.h maps it 1:1.
 #pragma once
 
 #include <string_view>

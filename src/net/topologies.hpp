@@ -17,8 +17,8 @@ class StarTopology final : public Topology {
   int route(Fabric&, int, Packet&, Routing, Rng&) override;
   /// Never consulted: every destination is on the single switch, so the
   /// fabric always takes the ejection path before routing. Declaring the
-  /// topology algebraic keeps static-mode semantics (express eligibility,
-  /// sequence reservation) identical with zero route-table bytes.
+  /// topology algebraic keeps it in static mode (like every other
+  /// static-routed topology) with zero route-table bytes.
   int static_next_hop(int, NodeId) const override { return -1; }
   bool algebraic_routing() const override { return true; }
   TopologyFootprint footprint() const override {

@@ -138,7 +138,6 @@ Network::Network(sim::Engine& engine, const NetworkConfig& config,
       }
       fabric_.set_static_routes(std::move(table));
     }
-    fabric_.set_express_enabled(config_.express);
   }
 }
 

@@ -73,10 +73,7 @@ struct NetworkConfig {
 
   std::uint64_t seed = 1;
 
-  /// Arm the express cut-through fast path (Fabric::set_express_enabled).
-  /// Only meaningful under static routing; results are bit-identical with
-  /// it off (--no-express ablation), only event counts and wall time move.
-  bool express = true;
+  bool express = true;  ///< Unread; kept until perfbench stops setting it.
 
   /// Static next-hop resolution strategy (ignored under adaptive routing).
   RouteTable route_table = RouteTable::kAlgebraic;

@@ -143,19 +143,6 @@ class MsgRef {
   Message* m_ = nullptr;
 };
 
-/// Sentinel for Packet::res_seq: no sequence pair was reserved (adaptive
-/// routing, or a packet rematerialized out of the express fast path).
-inline constexpr std::uint64_t kNoResSeq = ~std::uint64_t{0};
-
-/// Sentinel for Packet::res_seq on a packet handed across a shard
-/// boundary: the pair reserved at injection indexes the SOURCE engine's
-/// sequence space and is meaningless here, but the serial run would have
-/// ordered the delivery and receive events by that pair — i.e. by the
-/// injection instant. Delivery/rx therefore schedule with fresh local
-/// sequence numbers ranked at Packet::injected_at, reproducing the serial
-/// tie-break position (Engine tie-break model, sim/engine.hpp).
-inline constexpr std::uint64_t kRemoteResSeq = ~std::uint64_t{0} - 1;
-
 /// One packet on the wire. Packets of a message share the Message
 /// descriptor; `offset`/`bytes` delimit this packet's slice of the payload.
 struct Packet {
@@ -167,12 +154,9 @@ struct Packet {
   std::uint32_t header_bytes = 32;
   std::uint32_t seq = 0;     ///< packet index within the message
   std::uint32_t total = 1;   ///< total packets in the message
+  /// Injection instant: the latency origin, and the tie-break rank of the
+  /// packet's delivery and NIC receive events (sim/engine.hpp).
   Time injected_at = 0;
-  /// Sequence pair reserved at injection when static routes are installed:
-  /// res_seq orders the delivery event, res_seq + 1 the NIC receive event.
-  /// Reserved identically with the express path on or off, so tie-break
-  /// order of all shared events matches between the two modes.
-  std::uint64_t res_seq = kNoResSeq;
   std::uint16_t hops = 0;
 
   // Scratch routing state (e.g. dragonfly Valiant intermediate group).

@@ -26,10 +26,6 @@ Nic::Nic(sim::Engine& engine, net::Network& network, NodeId node,
   network_.set_delivery(node_, [this](Packet&& pkt) {
     handle_delivery(std::move(pkt));
   });
-  network_.fabric().set_express_rx(node_, params_.rx_proc,
-                                   [this](Packet&& pkt) {
-                                     express_rx(std::move(pkt));
-                                   });
 }
 
 void Nic::send(Message msg, SendDone on_sent) {
@@ -143,8 +139,7 @@ void Nic::inject_message(net::MsgRef msg, SendDone on_sent) {
   // Multi-packet messages go down as one batch: the fabric charges the
   // injection link for every packet up front (so backlog/admission see the
   // whole message, as before) but keeps at most a single chained engine
-  // event in flight instead of one queued arrival per packet — and zero
-  // when the whole burst commits to the express path.
+  // event in flight instead of one queued arrival per packet.
   if (total > 1) network_.inject_burst(burst_scratch_);
   if (on_sent) on_sent();
 }
@@ -173,62 +168,18 @@ void Nic::handle_delivery(Packet&& pkt) {
     return;
   }
   // Receive pipeline: fixed per-packet processing before the protocol
-  // engine (lookup, placement, counting) sees it. Packets with a reserved
-  // sequence pair use its second half so the dispatch tie-break position
-  // is identical whether or not the fabric took the express path; packets
-  // that crossed a shard boundary lost their pair but keep the serial
-  // position via a fresh sequence ranked at the injection instant.
+  // engine (lookup, placement, counting) sees it. Ranked at the injection
+  // instant and keyed by the packet, like the delivery event, so the
+  // dispatch order is identical serial and sharded (sim/engine.hpp).
   const Time rank = pkt.injected_at;
   const std::uint64_t tie = net::packet_tie(pkt);
-  if (pkt.res_seq == net::kRemoteResSeq) {
-    engine_.schedule_at_ranked(engine_.now() + params_.rx_proc, rank, tie,
-                               [this, proto, pid, pkt = std::move(pkt)]() {
-                                 dispatch_packet(proto, pid, pkt);
-                               });
-  } else if (pkt.res_seq != net::kNoResSeq) {
-    const std::uint64_t seq = pkt.res_seq + 1;
-    engine_.schedule_at_seq(engine_.now() + params_.rx_proc, seq, rank, tie,
-                            [this, proto, pid, pkt = std::move(pkt)]() {
-                              dispatch_packet(proto, pid, pkt);
-                            });
-  } else {
-    engine_.schedule_at_ranked(engine_.now() + params_.rx_proc, rank, tie,
-                               [this, proto, pid, pkt = std::move(pkt)]() {
-                                 dispatch_packet(proto, pid, pkt);
-                               });
-  }
-}
-
-void Nic::express_rx(Packet&& pkt) {
-  // The fabric folded delivery and receive into one event firing at
-  // deliver_at + rx_proc — exactly when the unfolded pipeline's dispatch
-  // event would run. Do handle_delivery's counting and the dispatch
-  // directly; the fold preconditions (no tracing, no failure injection)
-  // guarantee nothing could have observed the counters in between.
-  ++packets_received_;
-  c_packets_received_->inc();
-  const std::uint32_t proto = net::proto_of(pkt.msg->hdr.kind);
-  const net::Pid pid = pkt.msg->hdr.dst_pid;
-  if (proto >= kMaxProto || pid >= dispatch_[proto].size() ||
-      !dispatch_[proto][pid]) {
-    ++packets_dropped_no_handler_;
-    c_drops_no_handler_->inc();
-    RVMA_LOG_WARN("nic %d: dropping packet for proto %u pid %u", node_,
-                  proto, pid);
-    return;
-  }
-  dispatch_packet(proto, pid, pkt);
-}
-
-void Nic::dispatch_packet(std::uint32_t proto, net::Pid pid,
-                          const Packet& pkt) {
-  // Fires at the same simulated instant on both rx paths: the unfolded
-  // pipeline's dispatch event runs at deliver + rx_proc, and the folded
-  // express event is scheduled at exactly that time, so the recorded
-  // rx-dispatch span instant is fold-invariant.
-  RVMA_FREC(engine_, engine_.now(), obs::SpanKind::kRxDispatch, pkt.msg->id,
-            node_, static_cast<std::int64_t>(pkt.seq));
-  dispatch_[proto][pid](pkt);
+  engine_.schedule_at_ranked(
+      engine_.now() + params_.rx_proc, rank, tie,
+      [this, proto, pid, pkt = std::move(pkt)]() {
+        RVMA_FREC(engine_, engine_.now(), obs::SpanKind::kRxDispatch,
+                  pkt.msg->id, node_, static_cast<std::int64_t>(pkt.seq));
+        dispatch_[proto][pid](pkt);
+      });
 }
 
 }  // namespace rvma::nic

@@ -95,13 +95,6 @@ class Nic {
 
  private:
   void handle_delivery(Packet&& pkt);
-  /// Folded receive hook (Fabric::set_express_rx): runs handle_delivery's
-  /// counting and the protocol dispatch directly, at the instant the
-  /// unfolded pipeline's dispatch event would have fired.
-  void express_rx(Packet&& pkt);
-  /// Common tail of both rx paths: records the rx-dispatch span instant
-  /// and invokes the protocol handler.
-  void dispatch_packet(std::uint32_t proto, net::Pid pid, const Packet& pkt);
   void inject_message(net::MsgRef msg, SendDone on_sent);
   void drain_tx_queue();
 

@@ -88,9 +88,6 @@ std::vector<MessagePath> build_message_paths(const FlightDump& dump) {
         if (!p.has(MessagePath::kSeenTxQueue)) p.tx_queue_t = r.t;
         p.seen |= MessagePath::kSeenTxQueue;
         break;
-      case SpanKind::kExpressCommit:
-        p.express = true;
-        [[fallthrough]];
       case SpanKind::kTxInject:
         if (!p.has(MessagePath::kSeenInject)) p.first_inject_t = r.t;
         p.last_inject_t = r.t;
@@ -256,25 +253,21 @@ std::string perfetto_json(const FlightDump& dump) {
   // Per-packet wire and rx spans, paired by (msg, seq) in merged order.
   std::map<std::pair<std::uint64_t, std::int64_t>, Time> inject_at;
   std::map<std::pair<std::uint64_t, std::int64_t>, Time> deliver_at;
-  std::map<std::pair<std::uint64_t, std::int64_t>, bool> express_at;
   for (const TaggedRecord& tr : merged) {
     const SpanRecord& r = tr.rec;
     const auto kind = static_cast<SpanKind>(r.kind);
     const std::pair<std::uint64_t, std::int64_t> id{r.key, r.aux};
     switch (kind) {
       case SpanKind::kTxInject:
-      case SpanKind::kExpressCommit:
         inject_at[id] = r.t;
-        express_at[id] = kind == SpanKind::kExpressCommit;
         break;
       case SpanKind::kPktDeliver: {
         const auto it = inject_at.find(id);
         if (it != inject_at.end()) {
           sep();
           appendf(&out,
-                  "{\"ph\":\"X\",\"pid\":%u,\"tid\":%d,\"name\":\"%s\",\"ts\":",
-                  tr.shard, r.node,
-                  express_at[id] ? "wire/express" : "wire");
+                  "{\"ph\":\"X\",\"pid\":%u,\"tid\":%d,\"name\":\"wire\",\"ts\":",
+                  tr.shard, r.node);
           append_ts(&out, it->second);
           out.append(",\"dur\":");
           append_ts(&out, r.t - it->second);

@@ -1,8 +1,8 @@
 // Offline analysis over flight-recorder dumps (tools/rvma_trace).
 //
 // Takes a decoded FlightDump and reconstructs per-message lifecycle spans
-// (post -> tx-queue -> inject/express -> deliver -> rx dispatch -> mailbox
-// match), then renders them as:
+// (post -> tx-queue -> inject -> deliver -> rx dispatch -> mailbox match),
+// then renders them as:
 //   * Chrome trace-event / Perfetto JSON ("X" complete events, one
 //     process per shard and one thread track per node), loadable at
 //     https://ui.perfetto.dev,
@@ -43,7 +43,6 @@ struct MessagePath {
   std::uint32_t dst_shard = 0; ///< shard that recorded the rx-side spans
   std::int64_t bytes = 0;
   std::uint32_t packets = 0;   ///< injected packet count observed
-  bool express = false;        ///< any packet took the express path
   unsigned seen = 0;           ///< OR of Seen bits
   Time post_t = 0;
   Time tx_queue_t = 0;

@@ -157,7 +157,6 @@ const char* span_kind_name(std::uint32_t kind) {
     case SpanKind::kMsgPost: return "post";
     case SpanKind::kTxQueue: return "tx_queue";
     case SpanKind::kTxInject: return "tx_inject";
-    case SpanKind::kExpressCommit: return "express_commit";
     case SpanKind::kPktDeliver: return "pkt_deliver";
     case SpanKind::kRxDispatch: return "rx_dispatch";
     case SpanKind::kMbMatch: return "mb_match";

@@ -1,16 +1,16 @@
 // Binary flight recorder: a fixed-capacity ring of POD span records.
 //
 // Every message moving through the simulator leaves a trail of lifecycle
-// instants — post, tx-queue admission, fabric injection, express commit,
-// delivery, rx dispatch, mailbox match, counted completion. The recorder
-// captures those instants as 32-byte POD records into a preallocated ring:
-// zero steady-state allocations, O(1) per record, and — critically — zero
+// instants — post, tx-queue admission, fabric injection, delivery, rx
+// dispatch, mailbox match, counted completion. The recorder captures
+// those instants as 32-byte POD records into a preallocated ring: zero
+// steady-state allocations, O(1) per record, and — critically — zero
 // feedback into the simulation. Records carry explicit simulated times
 // (never wall clock), the recorder never schedules events, and no
 // simulation code branches on whether it is armed, so enabling it is
 // bit-identity-preserving: table and metrics output are byte-identical
-// recorder on vs off, the same discipline as `--no-express` and
-// jobs=1-vs-N (enforced by a run_bench.sh gate).
+// recorder on vs off, the same discipline as jobs=1-vs-N (enforced by a
+// run_bench.sh gate).
 //
 // Access pattern mirrors the Tracer (DESIGN §7): each Engine holds an
 // optional `FlightRecorder*`, hot paths guard with the `RVMA_FREC` macro
@@ -39,8 +39,8 @@ enum class SpanKind : std::uint32_t {
   kTxQueue = 2,         ///< admission stalled: message enters the NIC
                         ///  tx queue; aux = queue depth at enqueue
   kTxInject = 3,        ///< packet handed to the injection link; aux = seq
-  kExpressCommit = 4,   ///< packet committed to the express cut-through
-                        ///  path at injection; aux = seq
+  // 4 is retired (a removed fast path's injection instant); never reuse it,
+  // so older RVFR1 dumps keep their meaning.
   kPktDeliver = 5,      ///< packet delivered at the destination NIC edge;
                         ///  aux = seq
   kRxDispatch = 6,      ///< rx pipeline done, packet dispatched to the

@@ -367,7 +367,6 @@ int run_figure_cli(GridSpec grid, int argc, char** argv) {
     }
   }
   const bool quick = cli.get_bool("quick", false);
-  grid.base.express = !cli.get_bool("no-express", false);
   // Per-run observability outputs; run_grid suffixes ".run<i>" per cell
   // half. Arming the recorder never changes the printed table or metrics.
   grid.base.flight_recorder_path =

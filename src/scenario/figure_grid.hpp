@@ -94,7 +94,7 @@ struct GridRunOptions {
 int run_grid_with_output(const GridSpec& grid, const GridRunOptions& opts);
 
 /// CLI driver shared by fig7_sweep3d / fig8_halo3d: parses --nodes,
-/// --rdma-slots, --quick, --no-express, --jobs, --seed, --json,
+/// --rdma-slots, --quick, --jobs, --seed, --json,
 /// --metrics, --metrics-period-us, --serial-wall-s, --flight-recorder,
 /// --pdes-profile; runs the grid and
 /// prints the table plus a wall-clock footer. `--emit-grid=<path>`

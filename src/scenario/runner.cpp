@@ -43,7 +43,6 @@ bool resolve(const ScenarioSpec& spec, net::NetworkConfig* cfg,
   cfg->xbar_factor = spec.xbar_factor;
   cfg->concentration = spec.concentration;
   cfg->seed = spec.seed;
-  cfg->express = spec.express;
   // Spec validation already constrains the string to these two values;
   // anything else is a programming error upstream, so fail loudly here too.
   if (spec.route_table == "materialized") {

@@ -58,10 +58,7 @@ void append_spec_object(std::string* out, const ScenarioSpec& spec,
       .append(shortest_double(spec.xbar_factor))
       .append(",\n");
   out->append(in3).append("\"concentration\": ")
-      .append(std::to_string(spec.concentration))
-      .append(",\n");
-  out->append(in3).append("\"express\": ")
-      .append(spec.express ? "true" : "false");
+      .append(std::to_string(spec.concentration));
   // Default-valued long_link_latency and route_table are omitted so
   // pre-existing specs (and their golden bytes) round-trip unchanged.
   if (spec.long_link_latency != 0) {
@@ -177,8 +174,6 @@ bool parse_spec_object(const obs::JsonValue& root, ScenarioSpec* out,
       spec.xbar_factor = v->as_double(spec.xbar_factor);
     if (const auto* v = topo->find("concentration"))
       spec.concentration = static_cast<int>(v->as_i64(spec.concentration));
-    if (const auto* v = topo->find("express"))
-      spec.express = v->boolean;
     if (const auto* v = topo->find("route_table")) {
       spec.route_table = v->string;
       if (spec.route_table != "algebraic" && spec.route_table != "materialized")
@@ -362,8 +357,6 @@ bool apply_cli_overlay(const Cli& cli, ScenarioSpec* spec,
   spec->xbar_factor = cli.get_double("xbar-factor", spec->xbar_factor);
   spec->concentration =
       static_cast<int>(cli.get_int("concentration", spec->concentration));
-  if (cli.get_bool("no-express", false)) spec->express = false;
-  if (cli.has("express")) spec->express = cli.get_bool("express", true);
   spec->route_table = cli.get("route-table", spec->route_table);
   if (spec->route_table != "algebraic" && spec->route_table != "materialized")
     return fail("bad --route-table \"" + spec->route_table +

@@ -44,8 +44,7 @@ struct ScenarioSpec {
   Time switch_latency = 100 * kNanosecond;
   double xbar_factor = 1.5;  ///< crossbar bw = factor * link bw (paper §V-B1)
   int concentration = 1;     ///< endpoints per switch where applicable
-  /// Express cut-through ablation; disabling it must not change results.
-  bool express = true;
+  bool express = true;  ///< Unread; kept until perfbench stops setting it.
   /// Static next-hop resolution: "algebraic" (O(1) coordinate arithmetic,
   /// zero route-table bytes) or "materialized" (the full O(S*N) LUT
   /// ablation). Results are bit-identical either way; only memory and
@@ -131,7 +130,7 @@ bool looks_like_grid(const std::string& text);
 /// Overlay CLI flags onto `spec`: --name, --topology, --routing, --nodes,
 /// --bandwidth, --link-latency, --long-link-latency, --switch-latency,
 /// --xbar-factor,
-/// --concentration, --no-express/--express, --route-table, --transport,
+/// --concentration, --route-table, --transport,
 /// --rdma-slots, --doorbell-batch, --motif, --motif.<param>=<value>,
 /// --seed, --par-shards,
 /// --sample-period, --metrics, --flight-recorder,

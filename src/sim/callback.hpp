@@ -55,9 +55,9 @@ class CallbackBlockPool {
 class Callback {
  public:
   /// Inline capture capacity. A fabric/NIC packet closure — `this` pointer,
-  /// a couple of ints, and a ~80-byte Packet (pooled MsgRef handle plus the
-  /// reserved delivery sequence pair) — is ~96 bytes; 112 keeps every
-  /// per-packet closure inline with slack for one more captured word.
+  /// a couple of ints, and a 64-byte Packet (pooled MsgRef handle) — is
+  /// ~80 bytes; 112 keeps every per-packet closure inline with slack for
+  /// a few more captured words.
   static constexpr std::size_t kInlineCapacity = 112;
 
   Callback() noexcept = default;
@@ -72,7 +72,7 @@ class Callback {
 
   /// Construct a callable directly in this object's storage, replacing any
   /// held callable. The hot-path alternative to `cb = Callback(fn)`, which
-  /// would build a temporary and relocate its (up to 96-byte) capture.
+  /// would build a temporary and relocate its (up to 112-byte) capture.
   template <typename F, typename D = std::decay_t<F>>
   void emplace(F&& f) {
     if constexpr (std::is_same_v<D, Callback>) {

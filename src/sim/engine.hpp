@@ -3,8 +3,8 @@
 // The whole reproduction rests on this: switches, NICs, protocol state
 // machines, and motifs all advance by scheduling callbacks at future
 // simulated times. Event execution order is fully deterministic — ties in
-// timestamp break by sequence number, assigned at schedule (or reservation)
-// time — so identical configs and seeds replay identically.
+// timestamp break by (rank, tie, seq), see below — so identical configs
+// and seeds replay identically.
 //
 // Hot-path layout (see DESIGN.md "Hot path & allocation discipline"):
 // the priority queue holds 32-byte POD entries {time, rank, tie, seq|slot};
@@ -14,10 +14,10 @@
 // allocations.
 //
 // Tie-break model: equal-time events order by (rank, tie, seq).
-//  - `rank` is the simulated instant the event was produced (its sequence
-//    number allocated or reserved). Within one engine seq allocation is
-//    monotone in simulated time, so rank refines — never contradicts —
-//    seq order.
+//  - `rank` is a simulated instant the producer fixes for the event:
+//    now() for plain callbacks and switch-to-switch hops, and the
+//    packet's injection instant (Packet::injected_at) for its first-switch
+//    arrival, delivery and NIC receive events. rank <= time always.
 //  - `tie` is a content key: 0 for plain callbacks, a packet-identity key
 //    (net::packet_tie — source node, per-node message counter, packet
 //    index) for packet events. It makes equal-(time, rank) arbitration a
@@ -110,9 +110,8 @@ class Engine {
   /// ring of POD span records capturing each message's lifecycle
   /// instants. Unlike the tracer, the recorder is purely passive — it
   /// never schedules events, and NO simulation code may branch on
-  /// recording_enabled() (in particular the express fold decision stays
-  /// keyed off tracing_enabled() only) — so arming it is bit-identity-
-  /// preserving: tables and metrics are byte-identical on vs off.
+  /// recording_enabled() — so arming it is bit-identity-preserving: tables
+  /// and metrics are byte-identical on vs off.
   /// Pass nullptr to detach. Each shard of a sharded cluster attaches
   /// its own recorder, keeping record() single-threaded per ring.
   void set_flight_recorder(obs::FlightRecorder* rec) { frec_ = rec; }
@@ -122,16 +121,15 @@ class Engine {
   /// record arguments: a detached recorder costs one predictable branch.
   bool recording_enabled() const { return frec_ != nullptr; }
 
-  /// Record a span instant. `t` is explicit (not now()) so paths that
-  /// know a delivery instant ahead of execution — the express fold's
-  /// stored per-packet times — record the true simulated instant.
+  /// Record a span instant at simulated time `t` (callers pass the
+  /// instant the span describes, e.g. a packet's injection time).
   void frecord(Time t, obs::SpanKind kind, std::uint64_t key,
                std::int32_t node, std::int64_t aux) {
     frec_->record(t, kind, key, node, aux);
   }
 
-  /// Sequence numbers handed out so far == events ever scheduled or
-  /// reserved on this engine.
+  /// Sequence numbers handed out so far == events ever scheduled on this
+  /// engine.
   std::uint64_t scheduled_events() const { return next_seq_; }
 
   /// Schedule `fn` to run at absolute time `t` (must be >= now()).
@@ -139,7 +137,7 @@ class Engine {
   /// no intermediate Callback move of the capture bytes.
   template <typename F>
   void schedule_at(Time t, F&& fn) {
-    schedule_at_seq(t, next_seq_++, now_, 0, std::forward<F>(fn));
+    schedule_at_ranked(t, now_, 0, std::forward<F>(fn));
   }
 
   /// Schedule `fn` to run `delay` after now().
@@ -151,36 +149,14 @@ class Engine {
   /// Schedule `fn` at time `t` with an explicit tie-break rank (instead
   /// of the default now()) and content key (instead of the default 0):
   /// among equal-time events the engine executes lower (rank, tie, seq)
-  /// first. Packet events pass rank = the instant the packet was produced
-  /// for this hop and tie = net::packet_tie, making their arbitration
-  /// order schedule-independent (see the tie-break model above).
+  /// first. Packet events pass the rank named in the tie-break model above
+  /// and tie = net::packet_tie, making their arbitration order
+  /// schedule-independent.
   template <typename F>
   void schedule_at_ranked(Time t, Time rank, std::uint64_t tie, F&& fn) {
-    assert(rank <= t && "tie-break rank cannot postdate the event");
-    schedule_at_seq(t, next_seq_++, rank, tie, std::forward<F>(fn));
-  }
-
-  /// Reserve `count` consecutive sequence numbers and return the first.
-  /// Lets a caller that will schedule events lazily (e.g. the fabric's
-  /// chained packet bursts) pin their tie-break order now, so execution
-  /// order is identical to scheduling them all eagerly.
-  std::uint64_t reserve_sequence(std::uint64_t count) {
-    const std::uint64_t first = next_seq_;
-    next_seq_ += count;
-    return first;
-  }
-
-  /// Schedule `fn` at time `t` with an explicitly reserved sequence number
-  /// (from reserve_sequence), the simulated instant that reservation was
-  /// made, and the event's content key. Each reserved number must be used
-  /// at most once; ties at equal `t` execute in (rank, tie, seq) order
-  /// (see the tie-break model in the header comment).
-  template <typename F>
-  void schedule_at_seq(Time t, std::uint64_t seq, Time rank,
-                       std::uint64_t tie, F&& fn) {
     assert(t >= now_ && "cannot schedule events in the past");
     assert(rank <= t && "tie-break rank cannot postdate the event");
-    assert(seq < next_seq_ && "sequence number was never reserved");
+    const std::uint64_t seq = next_seq_++;
     assert(seq < (std::uint64_t{1} << (64 - kSlotBits)) &&
            "sequence number overflows the packed heap key");
     const std::uint32_t idx = acquire_slot();

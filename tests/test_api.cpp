@@ -33,8 +33,7 @@ rvma::net::NetworkConfig star(int nodes) {
 }
 
 /// Two-node serial cluster with one API context per node. Calls made
-/// before engine().run() model time-zero application setup, exactly as
-/// the legacy C-API tests do.
+/// before engine().run() model time-zero application setup.
 class ApiTest : public ::testing::Test {
  protected:
   ApiTest() : cluster_(star(2), rvma::nic::NicParams{}) {
@@ -219,6 +218,80 @@ TEST_F(ApiTest, WindowEpochAndRewind) {
 
   EXPECT_EQ(rvma_win_close(win), RVMA_SUCCESS);
   rvma_win_free(win);
+}
+
+TEST_F(ApiTest, WindowCallsValidateArguments) {
+  EXPECT_EQ(rvma_init_window(nullptr, 0x1, nullptr, 64, RVMA_EPOCH_BYTES),
+            nullptr);
+  EXPECT_EQ(rvma_init_window(b_, 0x1, nullptr, 0, RVMA_EPOCH_BYTES), nullptr);
+  rvma_win win = rvma_init_window(b_, 0x1, nullptr, 64, RVMA_EPOCH_BYTES);
+  ASSERT_NE(win, nullptr);
+
+  unsigned char buf[64];
+  EXPECT_EQ(rvma_post_buffer(win, nullptr, 64, nullptr), RVMA_ERR_INVALID);
+  EXPECT_EQ(rvma_post_buffer(win, buf, 0, nullptr), RVMA_ERR_INVALID);
+  EXPECT_EQ(rvma_post_buffer(nullptr, buf, 64, nullptr), RVMA_ERR_INVALID);
+  EXPECT_EQ(rvma_post_buffer(win, buf, 64, nullptr), RVMA_SUCCESS);
+  EXPECT_EQ(rvma_release(b_, win), RVMA_SUCCESS);
+}
+
+TEST_F(ApiTest, ClosedWindowDropsLaterPuts) {
+  std::vector<unsigned char> buf(64, 0);
+  rvma_win win = rvma_capture_at(b_, 0x3, buf.data(), 64);
+  ASSERT_NE(win, nullptr);
+  ASSERT_EQ(rvma_win_close(win), RVMA_SUCCESS);
+
+  std::vector<unsigned char> payload(64, 0x7E);
+  ASSERT_EQ(rvma_put(a_, payload.data(), 1, 0x3, 64), RVMA_SUCCESS);
+  cluster_.engine().run();
+
+  EXPECT_EQ(cluster_.collect_metrics().counters.at("rvma.drops_closed"), 1u);
+  EXPECT_EQ(buf[0], 0);
+  EXPECT_EQ(rvma_win_completions(win), 0u);
+  rvma_win_free(win);
+}
+
+TEST_F(ApiTest, IncEpochCompletesPostedBufferEarly) {
+  rvma_win win = rvma_init_window(b_, 0x4, nullptr, 1024, RVMA_EPOCH_BYTES);
+  ASSERT_NE(win, nullptr);
+  void* line_a[2] = {};
+  void* line_b[2] = {};
+  std::vector<unsigned char> buf_a(1024), buf_b(1024);
+  ASSERT_EQ(rvma_post_buffer(win, buf_a.data(), 1024, &line_a[0]),
+            RVMA_SUCCESS);
+  ASSERT_EQ(rvma_post_buffer(win, buf_b.data(), 1024, &line_b[0]),
+            RVMA_SUCCESS);
+
+  // Posted buffers report their notification regions in post order.
+  void* ptrs[4] = {};
+  EXPECT_EQ(rvma_win_get_buf_ptrs(win, ptrs, 4), 2);
+  EXPECT_EQ(ptrs[0], static_cast<void*>(&line_a[0]));
+
+  // Forcing the epoch completes the active buffer with nothing received.
+  EXPECT_EQ(rvma_win_inc_epoch(win), RVMA_SUCCESS);
+  cluster_.engine().run();
+  EXPECT_EQ(rvma_win_get_epoch(win), 1);
+  EXPECT_EQ(line_a[0], static_cast<void*>(buf_a.data()));
+  EXPECT_EQ(reinterpret_cast<int64_t*>(line_a)[1], 0);
+  EXPECT_EQ(rvma_release(b_, win), RVMA_SUCCESS);
+}
+
+TEST_F(ApiTest, PutOffsetHalvesAssembleOneBuffer) {
+  std::vector<unsigned char> buf(64, 0);
+  rvma_win win = rvma_capture_at(b_, 0x6, buf.data(), 64);
+  ASSERT_NE(win, nullptr);
+
+  std::vector<unsigned char> lo(32, 0x10), hi(32, 0x20);
+  ASSERT_EQ(rvma_put_offset(a_, lo.data(), 1, 0x6, 0, 32), RVMA_SUCCESS);
+  ASSERT_EQ(rvma_put_offset(a_, hi.data(), 1, 0x6, 32, 32), RVMA_SUCCESS);
+  cluster_.engine().run();
+
+  EXPECT_EQ(buf[0], 0x10);
+  EXPECT_EQ(buf[31], 0x10);
+  EXPECT_EQ(buf[32], 0x20);
+  EXPECT_EQ(buf[63], 0x20);
+  EXPECT_EQ(rvma_win_completions(win), 1u);  // both halves fill one epoch
+  EXPECT_EQ(rvma_release(b_, win), RVMA_SUCCESS);
 }
 
 TEST_F(ApiTest, ObserverSeesEveryCompletion) {

@@ -18,6 +18,7 @@
 #include "motifs/rvma_transport.hpp"
 #include "obs/flight_analysis.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/metrics_io.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 
@@ -347,12 +348,14 @@ TEST(ShardTracer, ShardedRunTracesWithoutClampingToSerial) {
   const std::string serial_path = dir + "trace_serial.jsonl";
   const std::string sharded_path = dir + "trace_sharded.jsonl";
   const std::string sharded2_path = dir + "trace_sharded2.jsonl";
+  const std::string profile_path = dir + "trace_sharded_pdes.json";
   std::string error;
 
   auto traced_run = [&](int shards, const std::string& path,
-                        ScenarioResult* out) {
+                        const std::string& profile, ScenarioResult* out) {
     ScenarioSpec spec = mini_spec();
     spec.par_shards = shards;
+    spec.pdes_profile_path = profile;
     Tracer sink;
     ASSERT_TRUE(sink.open(path));
     ASSERT_TRUE(run_scenario(spec, out, &error, &sink, /*eng_id=*/3)) << error;
@@ -361,19 +364,26 @@ TEST(ShardTracer, ShardedRunTracesWithoutClampingToSerial) {
   };
 
   ScenarioResult serial, sharded, sharded2;
-  traced_run(1, serial_path, &serial);
-  traced_run(2, sharded_path, &sharded);
-  traced_run(2, sharded2_path, &sharded2);
+  traced_run(1, serial_path, "", &serial);
+  traced_run(2, sharded_path, profile_path, &sharded);
+  traced_run(2, sharded2_path, "", &sharded2);
 
-  // The armed tracer no longer forces serial execution: the sharded run
-  // really went through the windowed loop (its extra window-boundary
-  // bookkeeping events are the tell — DESIGN.md §12), while every
-  // simulated observable stayed identical.
-  EXPECT_NE(serial.engine_events, sharded.engine_events);
+  // The armed tracer no longer forces serial execution: the sharded run's
+  // PDES profile shows two shards stepping through real windows, while
+  // every simulated observable stayed identical.
+  obs::MetricsDoc profile;
+  ASSERT_TRUE(obs::read_metrics_file(profile_path, &profile, &error)) << error;
+  EXPECT_EQ(profile.totals.counters.at("pdes.shards"), 2u);
+  EXPECT_GT(profile.totals.counters.at("pdes.windows"), 0u);
+  for (const char* key :
+       {"pdes.shard0.utilization_pct", "pdes.shard1.utilization_pct"}) {
+    EXPECT_TRUE(profile.totals.gauges.contains(key)) << key;
+  }
   EXPECT_EQ(serial.makespan, sharded.makespan);
   EXPECT_EQ(serial.packets_delivered, sharded.packets_delivered);
-  // engine.* counters carry those bookkeeping events too; everything the
-  // simulation itself recorded must match (test_pdes's Observed contract).
+  // engine.* counters may include the windowed loop's bookkeeping events
+  // (DESIGN.md §12); everything the simulation itself recorded must match
+  // (test_pdes's Observed contract).
   auto sim_metrics = [](const ScenarioResult& r) {
     obs::MetricsSnapshot m = r.metrics;
     std::erase_if(m.counters,
@@ -404,7 +414,8 @@ TEST(ShardTracer, ShardedRunTracesWithoutClampingToSerial) {
     prev = t;
   }
 
-  for (const std::string& p : {serial_path, sharded_path, sharded2_path}) {
+  for (const std::string& p :
+       {serial_path, sharded_path, sharded2_path, profile_path}) {
     std::remove(p.c_str());
   }
 }

@@ -39,7 +39,6 @@ ScenarioSpec full_spec() {
   spec.switch_latency = 100 * kNanosecond;
   spec.xbar_factor = 2.5;
   spec.concentration = 4;
-  spec.express = false;
   spec.transport = "rdma";
   spec.rdma_slots = 4;
   spec.doorbell_batch = 3;
@@ -64,6 +63,23 @@ TEST(ScenarioSpecJson, RoundTripIsByteStable) {
     EXPECT_EQ(parsed, spec);
     EXPECT_EQ(to_json(parsed), first);  // write(parse(write(s))) == write(s)
   }
+}
+
+TEST(ScenarioSpecJson, RemovedExpressKeyIsIgnored) {
+  // Documents written before the express fast path was removed carry an
+  // "express" key under "topology": it still parses, changes nothing, and
+  // is never written back.
+  std::string text = to_json(full_spec());
+  const std::string needle = "\"concentration\": 4";
+  const auto pos = text.find(needle);
+  ASSERT_NE(pos, std::string::npos);
+  text.insert(pos + needle.size(), ",\n      \"express\": false");
+  ScenarioSpec parsed;
+  std::string error;
+  ASSERT_TRUE(spec_from_json(text, &parsed, &error)) << error;
+  EXPECT_EQ(parsed, full_spec());
+  EXPECT_EQ(to_json(parsed).find("express"), std::string::npos);
+  EXPECT_EQ(to_json(ScenarioSpec{}).find("express"), std::string::npos);
 }
 
 TEST(ScenarioSpecJson, GridRoundTripIsByteStable) {
@@ -117,7 +133,6 @@ TEST(ScenarioCliOverlay, FlagsWinOverFileValues) {
                         "--motif.nx=16",
                         "--seed=7",
                         "--sample-period=5us",
-                        "--express",
                         "--metrics=other.json"};
   Cli cli(static_cast<int>(std::size(argv)), argv);
   std::string error;
@@ -132,7 +147,6 @@ TEST(ScenarioCliOverlay, FlagsWinOverFileValues) {
   EXPECT_EQ(spec.link_latency, 250 * kNanosecond);
   EXPECT_EQ(spec.seed, 7u);
   EXPECT_EQ(spec.sample_period, 5 * kMicrosecond);
-  EXPECT_TRUE(spec.express);  // --express overrides the file's false
   EXPECT_EQ(spec.metrics_path, "other.json");
   // --motif.<k> merges over file params: overridden, added, untouched.
   EXPECT_EQ(spec.motif_params.at("nx"), "16");

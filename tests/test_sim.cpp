@@ -130,21 +130,6 @@ TEST(Engine, MoveOnlyCaptureAndLargeCaptureCallbacks) {
   EXPECT_EQ(seen, 42);
 }
 
-TEST(Engine, ReservedSequencesPinTieBreakOrder) {
-  // reserve_sequence lets lazily scheduled events (fabric packet bursts)
-  // execute in the order they would have had if scheduled eagerly.
-  Engine e;
-  std::vector<int> order;
-  const std::uint64_t base = e.reserve_sequence(2);
-  // Scheduled later, but sequences reserved earlier: at an equal timestamp
-  // the reserved events must run before this one.
-  e.schedule_at(100, [&] { order.push_back(3); });
-  e.schedule_at_seq(100, base + 1, e.now(), 0, [&] { order.push_back(2); });
-  e.schedule_at_seq(100, base, e.now(), 0, [&] { order.push_back(1); });
-  e.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
 TEST(Engine, RunUntilStoppedMidWindow) {
   // run_until's stop contract (engine.hpp): an un-stopped window advances
   // the clock exactly to the deadline; a stop() mid-window leaves now()

@@ -13,11 +13,9 @@
 # through `rvma_metrics check` (schema + required instruments +
 # histogram + timeseries).
 #
-# Two more gates protect the express cut-through path (DESIGN.md §8):
+# The fabric throughput gate keeps the packet path honest:
 # fabric_packets_per_sec must not regress below 0.9x the value recorded
-# in the committed BENCH_engine.json, and a fig8 --quick grid run with
-# --no-express must produce a byte-identical table and metrics document
-# (modulo the engine event counters — fewer events is the whole point).
+# in the committed BENCH_engine.json.
 #
 # The flight recorder (DESIGN.md §14) gets the same treatment: arming it
 # must leave the table and metrics byte-identical (serial and at
@@ -39,8 +37,8 @@ cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$build_dir" --target engine_throughput fig8_halo3d \
   rvma_metrics rvma_run -j "$(nproc)"
 
-# Capture the previously recorded express-path throughput before the
-# bench overwrites the file.
+# Capture the previously recorded fabric throughput before the bench
+# overwrites the file.
 recorded_pps=""
 if [ -f "$repo_root/BENCH_engine.json" ]; then
   # Last match: the "current" block (the first is the seed baseline).
@@ -51,7 +49,7 @@ fi
 
 "$build_dir/bench/engine_throughput" "$repo_root/BENCH_engine.json"
 
-# --- Express fast-path regression gate ----------------------------------
+# --- Fabric throughput regression gate ----------------------------------
 new_pps=$(sed -n 's/.*"fabric_packets_per_sec": \([0-9]*\).*/\1/p' \
   "$repo_root/BENCH_engine.json" | tail -n 1)
 if [ -n "$recorded_pps" ] && [ -n "$new_pps" ]; then
@@ -62,7 +60,7 @@ if [ -n "$recorded_pps" ] && [ -n "$new_pps" ]; then
       "recorded $recorded_pps" >&2
     exit 1
   fi
-  echo "express gate: $new_pps pkt/s >= 0.9 x recorded $recorded_pps"
+  echo "fabric gate: $new_pps pkt/s >= 0.9 x recorded $recorded_pps"
 fi
 
 # --- Flight-recorder overhead gate --------------------------------------
@@ -244,39 +242,6 @@ then
   exit 1
 fi
 echo "scenario: rvma_run table and metrics byte-identical to the bench"
-
-# --- Express exactness gate ---------------------------------------------
-# The express cut-through path must be a pure wall-clock optimization:
-# the grid with --no-express must print an identical table and produce an
-# identical metrics document. Sampling is disabled (--metrics-period-us=0)
-# because the sampler may observe express's eager port charges mid-flight
-# (DESIGN.md §8); the engine event-count lines are filtered — executing
-# fewer events is the one intended difference.
-echo "express: ablation run (--no-express)"
-"$build_dir/bench/fig8_halo3d" --quick --jobs="$jobs" \
-  --metrics-period-us=0 \
-  --metrics="$tmp_dir/express_on_metrics.json" > "$tmp_dir/express_on.txt"
-"$build_dir/bench/fig8_halo3d" --quick --jobs="$jobs" --no-express \
-  --metrics-period-us=0 \
-  --metrics="$tmp_dir/express_off_metrics.json" > "$tmp_dir/express_off.txt"
-for f in express_on express_off; do
-  grep -v '^grid wall-clock\|^speedup vs serial\|^metrics written' \
-    "$tmp_dir/$f.txt" > "$tmp_dir/${f}_table.txt"
-  grep -v 'engine.events' "$tmp_dir/${f}_metrics.json" \
-    > "$tmp_dir/${f}_metrics_filtered.json"
-done
-if ! diff -u "$tmp_dir/express_on_table.txt" "$tmp_dir/express_off_table.txt"
-then
-  echo "ERROR: --no-express changed the fig8 table" >&2
-  exit 1
-fi
-if ! cmp -s "$tmp_dir/express_on_metrics_filtered.json" \
-  "$tmp_dir/express_off_metrics_filtered.json"
-then
-  echo "ERROR: --no-express changed the metrics document" >&2
-  exit 1
-fi
-echo "express: table and metrics byte-identical with and without the fast path"
 
 # --- Sharded-engine exactness gate --------------------------------------
 # The PDES path (--par-shards=K) must be a pure wall-clock optimization

@@ -5,12 +5,9 @@
 # Covers the parallel sweep machinery: the SweepExecutor pool itself,
 # the jobs=N vs jobs=1 grid determinism (which exercises concurrent
 # Cluster/Engine runs and per-run trace sinks), the fabric tests
-# (static next-hop cache), the NIC admission/drain path, and the
-# express-exactness tests (whose mini-grid runs express and hop-by-hop
-# fabrics concurrently across worker threads — the pooled non-atomic
-# message refcount must stay engine-local), the scenario-layer tests
-# (registry materialization plus the rvma_run grid replay, which fans
-# cells out over the executor), and the PDES tests (the ShardedEngine's
+# (static next-hop cache), the NIC admission/drain path, the
+# scenario-layer tests (registry materialization plus the rvma_run grid
+# replay, which fans cells out over the executor), and the PDES tests (the ShardedEngine's
 # window barriers, cross-shard SPSC channels, and the windowed-vs-serial
 # exactness runs, which exercise the full multi-threaded shard path),
 # the lookahead-matrix tests (per-destination windows, unreachable-pair
@@ -31,12 +28,12 @@ cmake -B "$build_dir" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DRVMA_SANITIZE=thread
 cmake --build "$build_dir" --target \
   test_sweep_executor test_sweep_determinism test_fabric_features \
-  test_routing_algebra test_express_exactness test_nic test_obs \
+  test_routing_algebra test_nic test_obs \
   test_scenario test_pdes test_pdes_matrix test_flight_recorder \
   test_api -j "$(nproc)"
 
 for test in test_sweep_executor test_sweep_determinism test_fabric_features \
-  test_routing_algebra test_express_exactness test_nic test_obs \
+  test_routing_algebra test_nic test_obs \
   test_scenario test_pdes test_pdes_matrix test_flight_recorder test_api
 do
   echo "== tsan: $test =="
