@@ -278,31 +278,38 @@ const rvma::obs::HistogramSnapshot* profile_hist(
   return it == snap.histograms.end() ? nullptr : &it->second;
 }
 
-/// PDES shard scaling: the same 512-node halo exchange run serially and
-/// with 2/4/8 shards. The makespan must be identical at every K (the
-/// bit-identity contract, DESIGN.md §12) — a mismatch aborts the bench.
-/// Speedups are wall-clock only and bounded by physical cores; on a
-/// single-core host every row degenerates to ~1x plus window overhead.
+/// PDES shard scaling: one 2,048-rank Fig 7 cell — torus3d-static
+/// Sweep3D over RVMA with the fig7 motif parameters at 100 Gb/s — run
+/// serially and with 2/4/8 shards. It lasts seconds serially, so the
+/// speedup measures window execution, not thread start-up. The makespan
+/// must be identical at every K (the bit-identity contract, DESIGN.md
+/// §12) — a mismatch aborts the bench. Speedups are wall-clock only and
+/// bounded by physical cores; on a single-core host every row degenerates
+/// to ~1x plus window overhead.
 std::vector<ShardRow> bench_pdes_shards() {
   namespace net = rvma::net;
   namespace nic = rvma::nic;
   using rvma::cluster::Cluster;
-  using rvma::motifs::build_halo3d;
-  using rvma::motifs::Halo3DConfig;
+  using rvma::motifs::build_sweep3d;
   using rvma::motifs::MotifRunner;
   using rvma::motifs::RvmaTransport;
+  using rvma::motifs::Sweep3DConfig;
 
   net::NetworkConfig cfg;
   cfg.topology = net::TopologyKind::kTorus3D;
-  cfg.routing = net::Routing::kStatic;  // adaptive clamps to serial
-  cfg.nodes_hint = 512;
+  cfg.routing = net::Routing::kStatic;
+  cfg.nodes_hint = 2048;
   cfg.seed = 11;
 
-  Halo3DConfig halo;
-  halo.px = halo.py = halo.pz = 8;  // 512 ranks
-  halo.nx = halo.ny = halo.nz = 8;
-  halo.iterations = 2;
-  halo.compute_per_cell = 0;
+  // bench/fig7_sweep3d's parameters on the near-square process grid the
+  // scenario layer derives for 2,048 ranks.
+  Sweep3DConfig sweep;
+  sweep.pex = sweep.pey = 45;  // 2,025 ranks
+  sweep.nx = sweep.ny = 48;
+  sweep.nz = 64;
+  sweep.kba = 8;
+  sweep.vars = 4;
+  sweep.compute_per_cell = 20 * rvma::kPicosecond;
 
   std::vector<ShardRow> rows;
   for (int k : {1, 2, 4, 8}) {
@@ -314,7 +321,7 @@ std::vector<ShardRow> bench_pdes_shards() {
     RvmaTransport transport(cluster, rvma::core::RvmaParams{});
     const auto t0 = std::chrono::steady_clock::now();
     const auto result =
-        MotifRunner(cluster, transport, build_halo3d(halo)).run();
+        MotifRunner(cluster, transport, build_sweep3d(sweep)).run();
     ShardRow row;
     row.shards = k;
     row.effective = cluster.num_shards();
@@ -583,9 +590,11 @@ int main(int argc, char** argv) {
         row.shards, row.effective, row.wall_seconds, row.speedup,
         static_cast<unsigned long long>(row.makespan));
     std::int64_t util_min = 100, util_max = 0;
-    std::uint64_t wait_ns = 0, drain_ns = 0, completion_ns = 0;
+    std::uint64_t busy_ns = 0, wait_ns = 0, drain_ns = 0, completion_ns = 0;
     char name[64];
     for (int s = 0; s < row.effective; ++s) {
+      std::snprintf(name, sizeof(name), "pdes.shard%d.busy_wall_ns", s);
+      busy_ns += profile_counter(row.profile, name);
       std::snprintf(name, sizeof(name), "pdes.shard%d.utilization_pct", s);
       const std::int64_t util = profile_gauge(row.profile, name);
       util_min = util < util_min ? util : util_min;
@@ -598,15 +607,23 @@ int main(int argc, char** argv) {
       std::snprintf(name, sizeof(name), "pdes.shard%d.completion_wall_ns", s);
       completion_ns += profile_counter(row.profile, name);
     }
+    // Busiest shard per window, summed, against the mean shard's busy
+    // total: 1.00x is perfect per-window balance.
+    const double critical = static_cast<double>(
+        profile_counter(row.profile, "pdes.critical_busy_wall_ns"));
+    const double busy_mean =
+        static_cast<double>(busy_ns) / static_cast<double>(row.effective);
     std::printf(
         "        profile: %llu windows, utilization %lld-%lld%%, "
-        "barrier wait %.3f ms / drain %.3f ms / completion %.3f ms total\n",
+        "barrier wait %.3f ms / drain %.3f ms / completion %.3f ms total, "
+        "critical busy %.3f ms (%.2fx mean)\n",
         static_cast<unsigned long long>(
             profile_counter(row.profile, "pdes.windows")),
         static_cast<long long>(util_min), static_cast<long long>(util_max),
         static_cast<double>(wait_ns) / 1e6,
         static_cast<double>(drain_ns) / 1e6,
-        static_cast<double>(completion_ns) / 1e6);
+        static_cast<double>(completion_ns) / 1e6, critical / 1e6,
+        busy_mean > 0 ? critical / busy_mean : 0.0);
   }
   std::printf(
       "pdes windows gate: sweep3d 1024 ranks on 8-group dragonfly mesh, "
@@ -692,11 +709,14 @@ int main(int argc, char** argv) {
         profile_hist(row.profile, "pdes.window_stride_ps");
     std::fprintf(f,
                  "    {\"shards\": %d, \"windows\": %llu, "
-                 "\"window_stride_ps_mean\": %.0f, \"per_shard\": [\n",
+                 "\"window_stride_ps_mean\": %.0f, "
+                 "\"critical_busy_wall_ns\": %llu, \"per_shard\": [\n",
                  row.effective,
                  static_cast<unsigned long long>(
                      profile_counter(row.profile, "pdes.windows")),
-                 stride != nullptr ? stride->mean() : 0.0);
+                 stride != nullptr ? stride->mean() : 0.0,
+                 static_cast<unsigned long long>(profile_counter(
+                     row.profile, "pdes.critical_busy_wall_ns")));
     char name[64];
     for (int s = 0; s < row.effective; ++s) {
       std::snprintf(name, sizeof(name), "pdes.shard%d.busy_wall_ns", s);

@@ -10,6 +10,38 @@
 
 namespace rvma::cluster {
 
+namespace {
+
+/// Block-cyclic switch -> shard map: the switch order is cut into
+/// B = min(m*K, S) equal blocks, dealt round-robin over the K shards
+/// (shard = (sw*B/S) mod K). m = 1 is the contiguous slab partition
+/// sw*K/S.
+std::vector<std::int32_t> block_cyclic(int num_sw, int k, int m) {
+  const std::int64_t blocks =
+      std::min<std::int64_t>(static_cast<std::int64_t>(m) * k, num_sw);
+  std::vector<std::int32_t> map(static_cast<std::size_t>(num_sw));
+  for (int sw = 0; sw < num_sw; ++sw) {
+    map[static_cast<std::size_t>(sw)] = static_cast<std::int32_t>(
+        static_cast<std::int64_t>(sw) * blocks / num_sw % k);
+  }
+  return map;
+}
+
+/// Smallest off-diagonal entry of a direct crossing matrix: the fastest
+/// link between two different shards, kTimeInfinity when none crosses.
+Time min_crossing(const std::vector<Time>& la, int k) {
+  const std::size_t ks = static_cast<std::size_t>(k);
+  Time lo = kTimeInfinity;
+  for (std::size_t src = 0; src < ks; ++src) {
+    for (std::size_t dst = 0; dst < ks; ++dst) {
+      if (src != dst) lo = std::min(lo, la[src * ks + dst]);
+    }
+  }
+  return lo;
+}
+
+}  // namespace
+
 Cluster::NicSlab::NicSlab(std::size_t capacity) : capacity_(capacity) {
   slots_ = static_cast<nic::Nic*>(::operator new(
       capacity * sizeof(nic::Nic), std::align_val_t{alignof(nic::Nic)}));
@@ -45,14 +77,12 @@ Cluster::Cluster(const net::NetworkConfig& net_config,
   (void)env_initialized;
 
   int k = std::max(1, par_shards);
-  // Exact sharding requires static routing (adaptive consults a
-  // per-Network RNG stream, which would diverge across shard-local
-  // replicas) and no global trace sink (one serial stream).
-  if (net_config.routing != net::Routing::kStatic) k = 1;
+  // Exact sharding requires no global trace sink (one serial stream).
   if (Tracer::global().enabled()) k = 1;
 
-  // Shard 0 is built first: its network tells us the switch count and the
-  // cross-shard lookahead, which bound how many shards are viable.
+  // Shard 0 is built first: its network tells us the switch count, the
+  // routing policy and the cross-shard lookahead, which bound how many
+  // shards are viable.
   shards_.push_back(std::make_unique<Shard>());
   Shard& s0 = *shards_[0];
   sharded_.attach(&s0.engine);
@@ -60,39 +90,42 @@ Cluster::Cluster(const net::NetworkConfig& net_config,
       std::make_unique<net::Network>(s0.engine, net_config, &s0.metrics);
   net::Fabric& f0 = s0.network->fabric();
   const int num_sw = f0.num_switches();
+  // A router that draws from the per-Network RNG (dragonfly UGAL) would
+  // advance K shard-local replicas of one stream differently. Every other
+  // router reads only the current switch's port backlogs, which that
+  // switch's shard owns, so it shards exactly.
+  if (s0.network->topology().route_draws_rng(net_config.routing)) k = 1;
   k = std::min(k, num_sw);
 
-  // Contiguous slab assignment: switch sw belongs to shard sw*k/S. Every
-  // topology builder numbers switches so that adjacent indices are
-  // adjacent in the machine (torus z-slabs, fat-tree pods...), keeping
-  // most links intra-shard.
+  // Block-cyclic assignment (block_cyclic above). Every topology builder
+  // numbers switches so that adjacent indices are adjacent in the machine
+  // (torus z-rows, fat-tree pods...), so a block keeps most of its links
+  // internal. Dealing many blocks round-robin, rather than one contiguous
+  // slab per shard, spreads a moving hot spot — a KBA wavefront's
+  // diagonal — over every shard at once instead of one or two. Eight
+  // blocks per shard (m = 16 measured slower on the 8,192-rank Sweep3D
+  // cell: more cross-shard items, worse balance), unless that map's
+  // fastest crossing link is faster than the slabs' (m = 1): the lookahead
+  // never shrinks, and a dragonfly whose long global links fall on slab
+  // boundaries keeps its slabs.
   std::vector<std::int32_t> shard_of_switch;
   if (k > 1) {
-    shard_of_switch.resize(static_cast<std::size_t>(num_sw));
-    for (int sw = 0; sw < num_sw; ++sw) {
-      shard_of_switch[static_cast<std::size_t>(sw)] = static_cast<std::int32_t>(
-          static_cast<std::int64_t>(sw) * k / num_sw);
+    shard_of_switch = block_cyclic(num_sw, k, 8);
+    std::vector<Time> la =
+        net::cross_shard_min_latency(f0, shard_of_switch, k);
+    std::vector<std::int32_t> slabs = block_cyclic(num_sw, k, 1);
+    std::vector<Time> slab_la = net::cross_shard_min_latency(f0, slabs, k);
+    if (min_crossing(la, k) < min_crossing(slab_la, k)) {
+      shard_of_switch = std::move(slabs);
+      la = std::move(slab_la);
     }
     // Conservative lookahead, per shard pair: the minimum latency of any
     // link crossing shard src -> dst — an event on src can influence dst
     // no earlier than t + la[src][dst]. A zero crossing latency anywhere
     // (or a topology where no link crosses at all) means windows cannot
     // make progress exactly — fall back to serial.
-    std::vector<Time> la =
-        net::cross_shard_min_latency(f0, shard_of_switch, k);
-    Time la_min = kTimeInfinity;
-    bool la_zero = false;
-    for (int src = 0; src < k; ++src) {
-      for (int dst = 0; dst < k; ++dst) {
-        if (src == dst) continue;
-        const Time d = la[static_cast<std::size_t>(src) *
-                              static_cast<std::size_t>(k) +
-                          static_cast<std::size_t>(dst)];
-        if (d == 0) la_zero = true;
-        if (d != kTimeInfinity) la_min = std::min(la_min, d);
-      }
-    }
-    if (la_zero || la_min == kTimeInfinity) {
+    const Time la_min = min_crossing(la, k);
+    if (la_min == 0 || la_min == kTimeInfinity) {
       k = 1;
       shard_of_switch.clear();
     } else {
@@ -322,9 +355,11 @@ obs::MetricsSnapshot Cluster::collect_pdes_profile() const {
   }
   reg.counter("pdes.windows").inc(sharded_.windows_executed());
   reg.histogram("pdes.window_stride_ps").merge(sharded_.window_stride_ps());
+  const bool have = sharded() && sharded_.profiling();
+  reg.counter("pdes.critical_busy_wall_ns")
+      .inc(have ? sharded_.critical_busy_wall_ns() : 0);
   char name[64];
   for (int s = 0; s < k; ++s) {
-    const bool have = sharded() && sharded_.profiling();
     // A serial cluster has no barriers: its one shard is 100% busy by
     // definition, which keeps the K=1 row comparable in bench sweeps.
     const sim::ShardedEngine::ShardProfile* prof =

@@ -7,16 +7,17 @@
 // directly from a NetworkConfig, fluently through ClusterBuilder, or
 // declaratively through a scenario spec (src/scenario).
 //
-// Sharded mode (par_shards > 1): the switch set splits into contiguous
-// shard slabs, each with its own Engine, MetricsRegistry, and a full copy
-// of the Network (identical construction => identical wiring and routes;
-// off-shard port state is dead weight that is never read). NICs attach on
-// the shard owning their switch, so injection and ejection never cross a
-// shard boundary — only transit hops do, handed across through
-// sim::ShardedEngine's windowed channels (DESIGN.md §12). Falls back to
-// one shard whenever conservative sharding cannot be exact: adaptive
-// routing (per-network RNG streams would diverge), an active global
-// tracer (one serial sink), or zero cross-shard lookahead.
+// Sharded mode (par_shards > 1): the switch order is cut into blocks dealt
+// round-robin over the shards, each shard with its own Engine,
+// MetricsRegistry, and a full copy of the Network (identical construction
+// => identical wiring and routes; off-shard port state is dead weight that
+// is never read). NICs attach on the shard owning their switch, so
+// injection and ejection never cross a shard boundary — only transit hops
+// do, handed across through sim::ShardedEngine's windowed channels
+// (DESIGN.md §12). Falls back to one shard whenever conservative sharding
+// cannot be exact: a router that draws from the RNG (dragonfly adaptive;
+// per-network RNG streams would diverge), an active global tracer (one
+// serial sink), or zero cross-shard lookahead.
 #pragma once
 
 #include <memory>
@@ -139,8 +140,9 @@ class Cluster {
   /// pdes.lookahead_{min,max,mean}_ps / pdes.lookahead_unreachable_pairs
   /// (deterministic) plus per-shard pdes.shard<k>.{busy_wall_ns,
   /// barrier_wait_wall_ns, drain_wall_ns, completion_wall_ns,
-  /// items_drained, utilization_pct, drain_depth}. Wall-clock values
-  /// differ run to run —
+  /// items_drained, utilization_pct, drain_depth} and
+  /// pdes.critical_busy_wall_ns (the busiest shard's busy time summed over
+  /// windows). Wall-clock values differ run to run —
   /// this snapshot is intentionally separate from collect_metrics() so
   /// the run metrics stay byte-identical across jobs/shard counts. A
   /// serial cluster reports one shard at 100% utilization, zero barrier

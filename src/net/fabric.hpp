@@ -137,6 +137,10 @@ class Fabric {
   void set_shard_map(int my_shard, std::vector<std::int32_t> shard_of_switch,
                      RemoteHop hook);
   bool sharded() const { return !shard_of_switch_.empty(); }
+  /// The installed switch -> shard map; empty when unsharded.
+  const std::vector<std::int32_t>& shard_of_switch() const {
+    return shard_of_switch_;
+  }
 
   /// Entry point for a packet handed off by a peer shard: accounts it as
   /// an in-flight packet of this fabric and schedules its arrival at

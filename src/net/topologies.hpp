@@ -100,6 +100,10 @@ class DragonflyTopology final : public Topology {
   int route(Fabric& fabric, int sw, Packet& pkt, Routing mode, Rng& rng) override;
   int static_next_hop(int sw, NodeId dst) const override;
   bool algebraic_routing() const override { return true; }
+  /// UGAL-lite draws its Valiant intermediate group from the RNG.
+  bool route_draws_rng(Routing mode) const override {
+    return mode == Routing::kAdaptive;
+  }
   TopologyFootprint footprint() const override;
   int diameter() const override { return 5; }  // l-g-l worst case (+detour)
 

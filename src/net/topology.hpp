@@ -115,6 +115,16 @@ class Topology {
   /// True when static_next_hop implements this topology's static routing.
   virtual bool algebraic_routing() const { return false; }
 
+  /// True when route() draws from the Network's RNG under `mode`. Every
+  /// other routing decision reads only the current switch's port backlogs,
+  /// which the switch's owning shard holds, so the Cluster can shard it
+  /// exactly; an RNG draw would advance per-shard replicas of one stream
+  /// differently, so the Cluster clamps such runs to serial.
+  virtual bool route_draws_rng(Routing mode) const {
+    (void)mode;
+    return false;
+  }
+
   /// Element counts for Fabric::reserve(); all-zero means "unknown".
   virtual TopologyFootprint footprint() const { return {}; }
 

@@ -324,6 +324,37 @@ bool read_metrics_file(const std::string& path, MetricsDoc* out,
   return metrics_doc_from_json(root, out, error);
 }
 
+namespace {
+
+/// Printed under a PDES profile's per-shard utilization gauges: the
+/// busiest shard's busy time summed over windows against the mean shard's
+/// busy total — 1.00x is perfect per-window balance, Kx one busy shard per
+/// window. Prints nothing for other documents.
+void print_pdes_balance(const MetricsSnapshot& m, std::FILE* out) {
+  const auto critical = m.counters.find("pdes.critical_busy_wall_ns");
+  const auto shards = m.counters.find("pdes.shards");
+  if (critical == m.counters.end() || shards == m.counters.end() ||
+      critical->second == 0) {
+    return;
+  }
+  std::uint64_t busy = 0;
+  for (std::uint64_t s = 0; s < shards->second; ++s) {
+    const auto it =
+        m.counters.find("pdes.shard" + std::to_string(s) + ".busy_wall_ns");
+    if (it != m.counters.end()) busy += it->second;
+  }
+  if (busy == 0) return;
+  const double mean =
+      static_cast<double>(busy) / static_cast<double>(shards->second);
+  const double crit = static_cast<double>(critical->second);
+  std::fprintf(out,
+               "pdes critical busy: %.3f ms = %.2fx the mean shard busy "
+               "(%.3f ms)\n",
+               crit * 1e-6, crit / mean, mean * 1e-6);
+}
+
+}  // namespace
+
 void print_metrics_summary(const MetricsDoc& doc, std::FILE* out) {
   std::fprintf(out, "metrics: %s (schema %s)\n", doc.tool.c_str(),
                doc.schema.c_str());
@@ -345,6 +376,7 @@ void print_metrics_summary(const MetricsDoc& doc, std::FILE* out) {
       t.add_row({name, std::to_string(v)});
     }
     t.print(out);
+    print_pdes_balance(doc.totals, out);
   }
   if (!doc.totals.histograms.empty()) {
     std::fprintf(out, "\nhistograms:\n");

@@ -128,9 +128,14 @@ Status RmaWindow::get(int origin, int target, std::uint64_t target_offset,
   if (!ok(st)) return st;
   ep.set_completion_observer(reply,
                              [&ep, reply, done = std::move(done)](
-                                 void*, std::int64_t) {
+                                 void*, std::int64_t) mutable {
+                               // free_window destroys this observer, and
+                               // with it the captured `done`: move it out
+                               // first.
+                               const std::function<void()> then =
+                                   std::move(done);
                                ep.free_window(reply);
-                               if (done) done();
+                               if (then) then();
                              });
   ep.get(ranks_[target].ep->node(), data_vaddr(target), target_offset, bytes,
          reply);

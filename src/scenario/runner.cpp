@@ -135,8 +135,9 @@ bool run_scenario(const ScenarioSpec& spec, ScenarioResult* out,
 
   // Sharded execution must be exact; mid-run gauge sampling reads one
   // shard's engine mid-window, so it clamps back to serial here (Cluster
-  // itself additionally clamps for adaptive routing, the global tracer,
-  // and zero-lookahead topologies). An armed per-run trace sink no longer
+  // itself additionally clamps for routing that draws from the RNG
+  // (dragonfly adaptive), the global tracer, and zero-lookahead
+  // topologies). An armed per-run trace sink no longer
   // clamps: sharded runs record into per-shard buffered tracers and merge
   // them deterministically below.
   int shards = spec.par_shards;

@@ -71,7 +71,7 @@ struct ScenarioSpec {
   /// serial; K > 1 shards the switches over K lock-step worker engines.
   /// Results are bit-identical either way — this knob only trades wall
   /// clock. Clamped back to 1 whenever exact sharding is impossible
-  /// (adaptive routing, sampling, tracing, zero lookahead).
+  /// (dragonfly adaptive routing, sampling, tracing, zero lookahead).
   int par_shards = 1;
   /// Simulated-time gauge sampling period; 0 disables sampling.
   Time sample_period = 0;

@@ -314,6 +314,7 @@ void ShardedEngine::enable_profiling(bool on) {
   profiling_ = on;
   profiles_.assign(static_cast<std::size_t>(num_shards()), ShardProfile{});
   last_completion_wall_ns_ = 0;
+  critical_busy_wall_ns_ = 0;
   windows_ = 0;
   prev_frontier_ = 0;
   window_stride_ps_ = obs::Histogram{};
@@ -346,11 +347,19 @@ Time ShardedEngine::run_windowed() {
   if (profiling_ && profiles_.size() != static_cast<std::size_t>(K)) {
     profiles_.assign(static_cast<std::size_t>(K), ShardProfile{});
   }
+  // The first completion of this run must not count a window of an
+  // earlier one.
+  for (ShardProfile& prof : profiles_) prof.last_busy_wall_ns = 0;
 
   using Clock = std::chrono::steady_clock;
   SpinBarrier barrier(K, [this]() noexcept {
     if (profiling_) {
       const auto c0 = Clock::now();
+      std::uint64_t busiest = 0;
+      for (const ShardProfile& prof : profiles_) {
+        busiest = std::max(busiest, prof.last_busy_wall_ns);
+      }
+      critical_busy_wall_ns_ += busiest;
       compute_windows();
       last_completion_wall_ns_ = static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
@@ -400,7 +409,8 @@ Time ShardedEngine::run_windowed() {
         prof.items_drained += n;
         prof.drain_depth.record(n);
         run_window(eng, window_end_[static_cast<std::size_t>(k)].v);
-        prof.busy_wall_ns += ns_between(t3, Clock::now());
+        prof.last_busy_wall_ns = ns_between(t3, Clock::now());
+        prof.busy_wall_ns += prof.last_busy_wall_ns;
       }
     }
     for (;;) {

@@ -129,6 +129,10 @@ class ShardedEngine {
     /// shard's worker happened to be the last arriver).
     std::uint64_t completion_wall_ns = 0;
     std::uint64_t items_drained = 0;    ///< cross-shard arrivals admitted
+    /// Busy time of this shard's most recent window. Stored before the
+    /// worker arrives at the barrier, so the completion step that reads
+    /// it (critical_busy_wall_ns) is ordered after the store.
+    std::uint64_t last_busy_wall_ns = 0;
     obs::Histogram drain_depth;         ///< arrivals per window drain
     /// busy / (busy + wait + drain + completion) in percent; 100 when
     /// nothing ran.
@@ -158,6 +162,14 @@ class ShardedEngine {
 
   const ShardProfile& profile(int k) const {
     return profiles_[static_cast<std::size_t>(k)];
+  }
+
+  /// Sum over windows of the busiest shard's busy time: the wall time the
+  /// profiled run would take with free barriers. Against the mean shard's
+  /// busy total it measures per-window imbalance, which even per-shard
+  /// totals hide when the hot shard changes from window to window.
+  std::uint64_t critical_busy_wall_ns() const {
+    return critical_busy_wall_ns_;
   }
 
  private:
@@ -251,6 +263,7 @@ class ShardedEngine {
   bool profiling_ = false;
   std::vector<ShardProfile> profiles_;
   std::uint64_t last_completion_wall_ns_ = 0;
+  std::uint64_t critical_busy_wall_ns_ = 0;
   std::uint64_t windows_ = 0;
   Time prev_frontier_ = 0;
   obs::Histogram window_stride_ps_;

@@ -280,6 +280,7 @@ TEST(PdesProfile, SerialClusterReportsOneFullyUtilizedShard) {
   const obs::MetricsSnapshot prof = cluster.collect_pdes_profile();
   EXPECT_EQ(prof.counters.at("pdes.shards"), 1);
   EXPECT_EQ(prof.gauges.at("pdes.shard0.utilization_pct"), 100);
+  EXPECT_EQ(prof.counters.at("pdes.critical_busy_wall_ns"), 0);
 }
 
 TEST(PdesProfile, ShardedRunExposesPerShardInstruments) {
@@ -302,8 +303,8 @@ TEST(PdesProfile, ShardedRunExposesPerShardInstruments) {
   EXPECT_EQ(prof.counters.at("pdes.shards"), 2);
   EXPECT_GT(prof.counters.at("pdes.windows"), 0);
   // Lookahead spread gauges over the path-closed matrix: a 2-shard torus
-  // slab has symmetric finite pairs, so min == max == mean > 0 and no
-  // unreachable pair.
+  // partition has symmetric finite pairs, so min == max == mean > 0 and
+  // no unreachable pair.
   EXPECT_GT(prof.gauges.at("pdes.lookahead_min_ps"), 0);
   EXPECT_GE(prof.gauges.at("pdes.lookahead_max_ps"),
             prof.gauges.at("pdes.lookahead_min_ps"));
@@ -326,6 +327,16 @@ TEST(PdesProfile, ShardedRunExposesPerShardInstruments) {
     EXPECT_GE(prof.gauges.at(key), 0);
     EXPECT_LE(prof.gauges.at(key), 100);
   }
+  // The busiest shard's busy time summed over windows: at least any one
+  // shard's busy total (per window, the maximum bounds each shard) and at
+  // most all shards' totals together.
+  const std::uint64_t busy0 = prof.counters.at("pdes.shard0.busy_wall_ns");
+  const std::uint64_t busy1 = prof.counters.at("pdes.shard1.busy_wall_ns");
+  ASSERT_TRUE(prof.counters.contains("pdes.critical_busy_wall_ns"));
+  const std::uint64_t critical = prof.counters.at("pdes.critical_busy_wall_ns");
+  EXPECT_GT(critical, 0u);
+  EXPECT_GE(critical, std::max(busy0, busy1));
+  EXPECT_LE(critical, busy0 + busy1);
   // Deterministic parts of the profile: window count and stride histogram
   // are pure functions of the event timeline.
   EXPECT_TRUE(prof.histograms.contains("pdes.window_stride_ps"));

@@ -100,11 +100,26 @@ TEST(ClusterSharding, SerialByDefault) {
   EXPECT_EQ(c.num_shards(), 1);
 }
 
-TEST(ClusterSharding, AdaptiveRoutingClampsToSerial) {
-  // Adaptive routing consults per-network RNG streams; replicated
-  // networks would diverge, so exact sharding is impossible.
-  cluster::Cluster c(torus27(net::Routing::kAdaptive), nic::NicParams{}, 4);
+TEST(ClusterSharding, DragonflyAdaptiveClampsToSerial) {
+  // UGAL-lite draws its Valiant group from the per-network RNG stream;
+  // replicated networks would diverge, so exact sharding is impossible.
+  net::NetworkConfig cfg;
+  cfg.topology = net::TopologyKind::kDragonfly;
+  cfg.routing = net::Routing::kAdaptive;
+  cfg.nodes_hint = 64;
+  cluster::Cluster c(cfg, nic::NicParams{}, 4);
   EXPECT_EQ(c.num_shards(), 1);
+  // Its static routing draws nothing and shards.
+  cfg.routing = net::Routing::kStatic;
+  EXPECT_EQ(cluster::Cluster(cfg, nic::NicParams{}, 4).num_shards(), 4);
+}
+
+TEST(ClusterSharding, TorusAdaptiveShards) {
+  // Minimal-adaptive torus routing reads only the current switch's port
+  // backlogs, which that switch's shard owns: nothing to clamp.
+  cluster::Cluster c(torus27(net::Routing::kAdaptive), nic::NicParams{}, 4);
+  EXPECT_EQ(c.num_shards(), 4);
+  EXPECT_GT(c.lookahead(), 0u);
 }
 
 TEST(ClusterSharding, ShardCountClampsToSwitchCount) {
