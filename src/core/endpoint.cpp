@@ -75,12 +75,8 @@ RvmaEndpoint::RvmaEndpoint(nic::Nic& nic, const RvmaParams& params,
 Window RvmaEndpoint::init_window(std::uint64_t vaddr, std::int64_t threshold,
                                  EpochType type, Placement placement,
                                  std::uint64_t key) {
-  auto it = lut_.find(vaddr);
-  if (it == lut_.end()) {
-    lut_.emplace(vaddr,
-                 std::make_unique<Mailbox>(vaddr, threshold, type, placement,
-                                           params_.retire_depth, key));
-  }
+  lut_.try_emplace(vaddr, vaddr, threshold, type, placement,
+                   params_.retire_depth, key);
   return Window(this, vaddr);
 }
 
@@ -94,7 +90,7 @@ Status RvmaEndpoint::post_buffer(std::uint64_t vaddr,
                                  std::int64_t* len_ptr) {
   auto it = lut_.find(vaddr);
   if (it == lut_.end()) return Status::kNoMailbox;
-  Mailbox& mb = *it->second;
+  Mailbox& mb = it->second;
   PostedBuffer buf;
   buf.base = buffer.data();
   buf.size = buffer.size();
@@ -112,7 +108,7 @@ Status RvmaEndpoint::post_buffer_timing_only(std::uint64_t vaddr,
                                              std::uint64_t size) {
   auto it = lut_.find(vaddr);
   if (it == lut_.end()) return Status::kNoMailbox;
-  Mailbox& mb = *it->second;
+  Mailbox& mb = it->second;
   PostedBuffer buf;
   buf.size = size;
   const Status st = mb.post(buf);
@@ -126,14 +122,14 @@ Status RvmaEndpoint::post_buffer_timing_only(std::uint64_t vaddr,
 Status RvmaEndpoint::close_window(std::uint64_t vaddr) {
   auto it = lut_.find(vaddr);
   if (it == lut_.end()) return Status::kNoMailbox;
-  it->second->close();
+  it->second.close();
   return Status::kOk;
 }
 
 Status RvmaEndpoint::free_window(std::uint64_t vaddr) {
   auto it = lut_.find(vaddr);
   if (it == lut_.end()) return Status::kNoMailbox;
-  Mailbox& mb = *it->second;
+  Mailbox& mb = it->second;
   // Release the active buffer's on-NIC counter, if it holds one.
   if (mb.has_active() && mb.active().counter_on_nic) {
     counters_.release();
@@ -152,7 +148,7 @@ Status RvmaEndpoint::free_window(std::uint64_t vaddr) {
 Status RvmaEndpoint::inc_epoch(std::uint64_t vaddr) {
   auto it = lut_.find(vaddr);
   if (it == lut_.end()) return Status::kNoMailbox;
-  Mailbox& mb = *it->second;
+  Mailbox& mb = it->second;
   if (!mb.has_active()) return Status::kNoBuffer;
   complete_active(mb, /*soft=*/true);
   return Status::kOk;
@@ -160,14 +156,14 @@ Status RvmaEndpoint::inc_epoch(std::uint64_t vaddr) {
 
 std::int64_t RvmaEndpoint::get_epoch(std::uint64_t vaddr) const {
   const auto it = lut_.find(vaddr);
-  return it == lut_.end() ? -1 : it->second->epoch();
+  return it == lut_.end() ? -1 : it->second.epoch();
 }
 
 int RvmaEndpoint::get_buf_ptrs(std::uint64_t vaddr, void** out,
                                int count) const {
   const auto it = lut_.find(vaddr);
   if (it == lut_.end()) return 0;
-  return it->second->collect_notif_ptrs(out, count);
+  return it->second.collect_notif_ptrs(out, count);
 }
 
 Status RvmaEndpoint::rewind(std::uint64_t vaddr, int epochs_back, void** buf,
@@ -175,7 +171,7 @@ Status RvmaEndpoint::rewind(std::uint64_t vaddr, int epochs_back, void** buf,
   const auto it = lut_.find(vaddr);
   if (it == lut_.end()) return Status::kNoMailbox;
   RetiredBuffer retired;
-  const Status st = it->second->rewind(epochs_back, &retired);
+  const Status st = it->second.rewind(epochs_back, &retired);
   if (!ok(st)) return st;
   if (buf != nullptr) *buf = retired.base;
   if (len != nullptr) *len = static_cast<std::int64_t>(retired.bytes_received);
@@ -199,7 +195,7 @@ void RvmaEndpoint::set_completion_observer(std::uint64_t vaddr, NotifyFn fn) {
 void RvmaEndpoint::detach_notification(std::uint64_t vaddr, void** notif_ptr,
                                        std::int64_t* len_ptr) {
   const auto it = lut_.find(vaddr);
-  if (it != lut_.end()) it->second->detach_notifications(notif_ptr, len_ptr);
+  if (it != lut_.end()) it->second.detach_notifications(notif_ptr, len_ptr);
 }
 
 void RvmaEndpoint::set_op_observer(std::uint64_t vaddr, OpObserver fn) {
@@ -208,12 +204,12 @@ void RvmaEndpoint::set_op_observer(std::uint64_t vaddr, OpObserver fn) {
 
 std::uint64_t RvmaEndpoint::completions(std::uint64_t vaddr) const {
   const auto it = lut_.find(vaddr);
-  return it == lut_.end() ? 0 : it->second->completed_count();
+  return it == lut_.end() ? 0 : it->second.completed_count();
 }
 
 const Mailbox* RvmaEndpoint::find_mailbox(std::uint64_t vaddr) const {
   const auto it = lut_.find(vaddr);
-  return it == lut_.end() ? nullptr : it->second.get();
+  return it == lut_.end() ? nullptr : &it->second;
 }
 
 void RvmaEndpoint::put(NodeId dst, std::uint64_t vaddr, std::uint64_t offset,
@@ -309,7 +305,7 @@ void RvmaEndpoint::handle_packet(const net::Packet& pkt) {
             return;
           }
         }
-        Mailbox& mb = *it->second;
+        Mailbox& mb = it->second;
         if (mb.closed()) {
           ++stats_.drops_closed;
           c_drops_closed_->inc();
@@ -370,12 +366,12 @@ void RvmaEndpoint::handle_packet(const net::Packet& pkt) {
                                             vaddr, offset, bytes,
                                             reply_vaddr] {
         const auto it = lut_.find(vaddr);
-        if (it == lut_.end() || it->second->closed() ||
-            !it->second->has_active()) {
+        if (it == lut_.end() || it->second.closed() ||
+            !it->second.has_active()) {
           send_nack(requester, requester_pid, vaddr, Status::kNoBuffer);
           return;
         }
-        const PostedBuffer& buf = it->second->active();
+        const PostedBuffer& buf = it->second.active();
         const std::byte* data = nullptr;
         if (buf.base != nullptr && offset + bytes <= buf.size) {
           data = buf.base + offset;

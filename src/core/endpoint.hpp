@@ -13,7 +13,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -213,7 +212,10 @@ class RvmaEndpoint {
   obs::Histogram* h_completion_latency_ns_;
   obs::Histogram* h_mailbox_ooo_degree_;
 
-  std::unordered_map<std::uint64_t, std::unique_ptr<Mailbox>> lut_;
+  /// The mailbox LUT. Mailboxes live in the map's nodes, which never move:
+  /// a pending host-counter update holds a Mailbox reference across an
+  /// event.
+  std::unordered_map<std::uint64_t, Mailbox> lut_;
   std::unordered_map<std::uint64_t, std::vector<NotifyFn>> waiters_;
   std::unordered_map<std::uint64_t, NotifyFn> observers_;
   std::unordered_map<std::uint64_t, OpObserver> op_observers_;

@@ -1,5 +1,7 @@
 #include "core/mailbox.hpp"
 
+#include <algorithm>
+
 namespace rvma::core {
 
 Status Mailbox::post(PostedBuffer buf) {
@@ -27,15 +29,24 @@ Status Mailbox::post(PostedBuffer buf) {
   buf.bytes_received = 0;
   buf.ops_received = 0;
   buf.write_cursor = 0;
-  queue_.push_back(buf);
+  if (count_ == ring_.size()) {
+    // Full: unwrap into a ring twice the size.
+    std::vector<PostedBuffer> grown(ring_.empty() ? 1 : 2 * ring_.size());
+    for (std::size_t i = 0; i < count_; ++i) grown[i] = ring_[slot(i)];
+    ring_ = std::move(grown);
+    head_ = 0;
+  }
+  ring_[slot(count_)] = buf;
+  ++count_;
   return Status::kOk;
 }
 
 std::optional<RetiredBuffer> Mailbox::retire_active(bool soft) {
-  if (queue_.empty()) return std::nullopt;
-  PostedBuffer& buf = queue_.front();
+  if (count_ == 0) return std::nullopt;
+  const PostedBuffer& buf = ring_[head_];
   RetiredBuffer retired{buf.base, buf.size, buf.bytes_received, epoch_, soft};
-  queue_.pop_front();
+  head_ = slot(1);
+  --count_;
   retired_.push_back(retired);
   if (static_cast<int>(retired_.size()) > retire_depth_) {
     retired_.erase(retired_.begin());
@@ -56,11 +67,24 @@ Status Mailbox::rewind(int epochs_back, RetiredBuffer* out) const {
 
 int Mailbox::collect_notif_ptrs(void** out, int count) const {
   int n = 0;
-  for (const PostedBuffer& buf : queue_) {
-    if (n >= count) break;
-    out[n++] = static_cast<void*>(buf.notif_ptr);
+  for (std::size_t i = 0; i < count_ && n < count; ++i) {
+    out[n++] = static_cast<void*>(posted(i).notif_ptr);
   }
   return n;
+}
+
+std::uint64_t Mailbox::ooo_degree(std::int32_t src, std::uint64_t counter) {
+  auto it = std::lower_bound(
+      ooo_high_.begin(), ooo_high_.end(), src,
+      [](const OooMark& mark, std::int32_t key) { return mark.src < key; });
+  if (it == ooo_high_.end() || it->src != src) {
+    it = ooo_high_.insert(it, OooMark{src, 0});
+  }
+  if (counter >= it->high) {
+    it->high = counter;
+    return 0;
+  }
+  return it->high - counter;
 }
 
 }  // namespace rvma::core

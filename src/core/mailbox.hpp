@@ -9,10 +9,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.hpp"
@@ -110,10 +108,12 @@ class Mailbox {
   bool closed() const { return closed_; }
   void close() { closed_ = true; }
 
-  bool has_active() const { return !queue_.empty(); }
-  PostedBuffer& active() { return queue_.front(); }
-  const PostedBuffer& active() const { return queue_.front(); }
-  std::size_t posted_count() const { return queue_.size(); }
+  bool has_active() const { return count_ != 0; }
+  PostedBuffer& active() { return ring_[head_]; }
+  const PostedBuffer& active() const { return ring_[head_]; }
+  std::size_t posted_count() const { return count_; }
+  /// The i-th queued buffer, oldest (the active one) first.
+  const PostedBuffer& posted(std::size_t i) const { return ring_[slot(i)]; }
 
   /// Append a buffer to the bucket.
   ///
@@ -145,13 +145,13 @@ class Mailbox {
   /// completion storage while the window stays live. Buffers registered
   /// with other locations are untouched.
   void detach_notifications(void** notif_ptr, std::int64_t* len_ptr) {
-    for (PostedBuffer& b : queue_) {
+    for (std::size_t i = 0; i < count_; ++i) {
+      PostedBuffer& b = ring_[slot(i)];
       if (b.notif_ptr == notif_ptr) b.notif_ptr = nullptr;
       if (b.len_ptr == len_ptr) b.len_ptr = nullptr;
     }
   }
 
-  const std::deque<PostedBuffer>& queue() const { return queue_; }
   const std::vector<RetiredBuffer>& retired() const { return retired_; }
   std::uint64_t completed_count() const { return completed_count_; }
 
@@ -163,16 +163,20 @@ class Mailbox {
   /// reports degree k; in-order arrivals — including arrival with gaps,
   /// when intervening posts targeted other mailboxes — report 0.
   /// Deterministic: arrival order is a pure function of the simulation.
-  std::uint64_t ooo_degree(std::int32_t src, std::uint64_t counter) {
-    std::uint64_t& high = ooo_high_[src];
-    if (counter >= high) {
-      high = counter;
-      return 0;
-    }
-    return high - counter;
-  }
+  std::uint64_t ooo_degree(std::int32_t src, std::uint64_t counter);
 
  private:
+  /// Highest post counter seen so far from one sender, for ooo_degree().
+  struct OooMark {
+    std::int32_t src;
+    std::uint64_t high;
+  };
+
+  /// Ring index of the i-th queued buffer; the capacity is a power of two.
+  std::size_t slot(std::size_t i) const {
+    return (head_ + i) & (ring_.size() - 1);
+  }
+
   std::uint64_t vaddr_;
   std::int64_t threshold_;
   EpochType type_;
@@ -180,13 +184,19 @@ class Mailbox {
   int retire_depth_;
   std::uint64_t key_;
 
-  std::deque<PostedBuffer> queue_;
+  /// The bucket: count_ posted buffers from ring_[head_] on, wrapping.
+  /// It doubles when full and never shrinks, so its size is the high-water
+  /// posted count rounded up to a power of two.
+  std::vector<PostedBuffer> ring_;
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
   std::vector<RetiredBuffer> retired_;  // ring, newest at back
   std::int64_t epoch_ = 0;
   std::uint64_t completed_count_ = 0;
   bool closed_ = false;
-  /// Highest per-sender post counter seen so far, for ooo_degree().
-  std::unordered_map<std::int32_t, std::uint64_t> ooo_high_;
+  /// Sorted by src. A motif channel's mailbox hears one sender; a
+  /// catch-all hears its clients.
+  std::vector<OooMark> ooo_high_;
 };
 
 }  // namespace rvma::core

@@ -1,5 +1,7 @@
 #include "motifs/halo3d.hpp"
 
+#include <algorithm>
+
 namespace rvma::motifs {
 
 std::vector<RankProgram> build_halo3d(const Halo3DConfig& config) {
@@ -7,6 +9,12 @@ std::vector<RankProgram> build_halo3d(const Halo3DConfig& config) {
       config.compute_per_cell * static_cast<std::uint64_t>(config.nx) *
       config.ny * config.nz;
 
+  struct Neighbor {
+    int rank;
+    std::uint64_t tag;
+    std::uint64_t bytes;
+  };
+  std::vector<Neighbor> neighbors;
   std::vector<RankProgram> programs(config.ranks());
   for (int z = 0; z < config.pz; ++z) {
     for (int y = 0; y < config.py; ++y) {
@@ -14,12 +22,7 @@ std::vector<RankProgram> build_halo3d(const Halo3DConfig& config) {
         const int rank = (z * config.py + y) * config.px + x;
         RankProgram& prog = programs[rank];
 
-        struct Neighbor {
-          int rank;
-          std::uint64_t tag;
-          std::uint64_t bytes;
-        };
-        std::vector<Neighbor> neighbors;
+        neighbors.clear();
         auto add = [&](bool exists, int nrank, std::uint64_t tag,
                        std::uint64_t bytes) {
           if (exists) neighbors.push_back({nrank, tag, bytes});
@@ -31,6 +34,11 @@ std::vector<RankProgram> build_halo3d(const Halo3DConfig& config) {
         add(z > 0, rank - config.px * config.py, 4, config.face_bytes_z());
         add(z < config.pz - 1, rank + config.px * config.py, 5,
             config.face_bytes_z());
+        // Exact length: a post, a send and a wait per neighbor, then a
+        // compute, every iteration.
+        const auto iterations =
+            static_cast<std::size_t>(std::max(config.iterations, 0));
+        prog.reserve(iterations * (3 * neighbors.size() + 1));
 
         for (int iter = 0; iter < config.iterations; ++iter) {
           for (const Neighbor& n : neighbors) {

@@ -19,23 +19,11 @@ RdmaTransport::RdmaTransport(cluster::Cluster& cluster,
   }
 }
 
-RdmaTransport::ChannelState& RdmaTransport::state(int src, int dst,
-                                                  std::uint64_t tag) {
-  const auto it = channels_.find({src, dst, tag});
-  assert(it != channels_.end() && "undeclared channel");
-  return it->second;
-}
-
 void RdmaTransport::setup(const std::vector<Channel>& channels,
                           std::function<void()> ready) {
-  for (const Channel& ch : channels) {
-    ChannelState cs;
-    cs.ch = ch;
-    cs.index = static_cast<std::uint32_t>(by_index_.size());
-    auto [it, inserted] = channels_.emplace(
-        std::make_tuple(ch.src, ch.dst, ch.tag), std::move(cs));
-    assert(inserted && "duplicate channel");
-    by_index_.push_back(&it->second);
+  channels_.resize(channels.size());
+  for (ChannelId id = 0; id < channels.size(); ++id) {
+    channels_[id].ch = channels[id];
   }
 
   // Target-side middleware: allocate timing-only regions for handshakes and
@@ -43,8 +31,8 @@ void RdmaTransport::setup(const std::vector<Channel>& channels,
   for (auto& ep : endpoints_) {
     ep->serve_buffer_requests(
         [](std::uint64_t, std::uint64_t) { return std::span<std::byte>{}; },
-        [this](std::uint64_t tag, std::uint64_t addr, std::uint64_t) {
-          by_index_[tag]->region_addr = addr;
+        [this](std::uint64_t id, std::uint64_t addr, std::uint64_t) {
+          channels_[id].region_addr = addr;
         });
   }
   // Shared recv-CQ pump per node: credits and completion sends arrive here.
@@ -53,12 +41,13 @@ void RdmaTransport::setup(const std::vector<Channel>& channels,
   }
 
   // One negotiation handshake per channel, all in flight concurrently.
-  auto pending = std::make_shared<int>(static_cast<int>(by_index_.size()));
+  auto pending = std::make_shared<int>(static_cast<int>(channels_.size()));
   if (*pending == 0) {
     cluster_.engine().schedule(0, std::move(ready));
     return;
   }
-  for (ChannelState* cs : by_index_) {
+  for (ChannelId id = 0; id < channels_.size(); ++id) {
+    ChannelState* cs = &channels_[id];
     cs->ctrl_src += 2;  // request + reply
     endpoints_[cs->ch.src]->request_buffer(
         cs->ch.dst, cs->ch.bytes * static_cast<std::uint64_t>(slots_),
@@ -66,44 +55,41 @@ void RdmaTransport::setup(const std::vector<Channel>& channels,
           cs->remote = rb;
           if (--*pending == 0) ready();
         },
-        cs->index);
+        id);
   }
 }
 
 void RdmaTransport::pump_cq(int node) {
   endpoints_[node]->post_recv([this, node](const rdma::Completion& entry) {
     const std::uint64_t type = entry.imm >> 32;
-    ChannelState& cs = *by_index_[entry.imm & 0xffffffffULL];
+    const auto id = static_cast<ChannelId>(entry.imm & 0xffffffffULL);
+    ChannelState& cs = channels_[id];
     if (type == kImmCredit) {
       ++cs.credits;
-      if (!cs.credit_waiters.empty()) {
-        auto resume = std::move(cs.credit_waiters.front());
-        cs.credit_waiters.pop_front();
-        resume();
-      }
+      if (!cs.credit_waiter.empty()) issue_send(id, cs.credit_waiter.take());
     } else if (type == kImmComplete) {
-      on_channel_complete(cs);
+      on_channel_complete(id);
     }
     pump_cq(node);
   });
 }
 
-void RdmaTransport::on_channel_complete(ChannelState& cs) {
+void RdmaTransport::on_channel_complete(ChannelId id) {
+  ChannelState& cs = channels_[id];
   ++cs.completed;
   // A slot just freed up: grant a queued credit, if any.
   if (cs.pending_posts > 0) {
     --cs.pending_posts;
-    grant_credit(cs);
+    grant_credit(id);
   }
-  if (!cs.waiters.empty() && cs.completed > cs.consumed) {
+  if (!cs.waiter.empty() && cs.completed > cs.consumed) {
     ++cs.consumed;
-    auto done = std::move(cs.waiters.front());
-    cs.waiters.pop_front();
-    done();
+    cs.waiter.take()();
   }
 }
 
-void RdmaTransport::grant_credit(ChannelState& cs) {
+void RdmaTransport::grant_credit(ChannelId id) {
+  ChannelState& cs = channels_[id];
   if (ordered_network_) {
     // Arm the last-byte poll for the slot this message will land in.
     // The credit below is what authorizes the sender, so the poll is
@@ -112,41 +98,39 @@ void RdmaTransport::grant_credit(ChannelState& cs) {
     ++cs.arm_seq;
     endpoints_[cs.ch.dst]->arm_last_byte_poll(
         cs.region_addr, slot * cs.ch.bytes + cs.ch.bytes,
-        [this, &cs](Time, std::uint64_t) { on_channel_complete(cs); });
+        [this, id](Time, std::uint64_t) { on_channel_complete(id); });
   }
   // Return a credit: the initiator owns the region, so the target must
   // tell it when a slot is safe to overwrite.
   ++cs.credits_granted;
   ++cs.ctrl_dst;
-  endpoints_[cs.ch.dst]->send(cs.ch.src, (kImmCredit << 32) | cs.index);
+  endpoints_[cs.ch.dst]->send(cs.ch.src, (kImmCredit << 32) | id);
 }
 
-void RdmaTransport::recv_post(int dst, int src, std::uint64_t tag) {
-  ChannelState& cs = state(src, dst, tag);
+void RdmaTransport::recv_post(ChannelId id) {
+  ChannelState& cs = channels_[id];
   // A credit may only be outstanding while a registered slot is free;
   // posts beyond the slot depth queue until a message completes.
   if (cs.credits_granted - cs.completed <
       static_cast<std::uint64_t>(slots_)) {
-    grant_credit(cs);
+    grant_credit(id);
   } else {
     ++cs.pending_posts;
   }
 }
 
-void RdmaTransport::send(int src, int dst, std::uint64_t tag,
-                         std::function<void()> done) {
-  ChannelState& cs = state(src, dst, tag);
+void RdmaTransport::send(ChannelId id, std::function<void()> done) {
+  ChannelState& cs = channels_[id];
   if (cs.credits == 0) {
     ++cs.stalls;
-    cs.credit_waiters.push_back([this, &cs, done = std::move(done)]() mutable {
-      issue_send(cs, std::move(done));
-    });
+    cs.credit_waiter.park(std::move(done));
     return;
   }
-  issue_send(cs, std::move(done));
+  issue_send(id, std::move(done));
 }
 
-void RdmaTransport::issue_send(ChannelState& cs, std::function<void()> done) {
+void RdmaTransport::issue_send(ChannelId id, std::function<void()> done) {
+  ChannelState& cs = channels_[id];
   assert(cs.credits > 0);
   --cs.credits;
   ++cs.sent;
@@ -161,33 +145,32 @@ void RdmaTransport::issue_send(ChannelState& cs, std::function<void()> done) {
   // preserving the data-before-notification ordering guarantee.
   endpoints_[src]->put(
       cs.remote, slot * cs.ch.bytes, nullptr, cs.ch.bytes,
-      [this, src, dst, idx = cs.index] {
+      [this, src, dst, id] {
         if (!ordered_network_) {
           // Local completion fires on src's shard thread: src-side counter.
-          ++by_index_[idx]->ctrl_src;
-          endpoints_[src]->send(dst, (kImmComplete << 32) | idx);
+          ++channels_[id].ctrl_src;
+          endpoints_[src]->send(dst, (kImmComplete << 32) | id);
         }
       },
       std::move(done));
 }
 
-void RdmaTransport::recv_wait(int dst, int src, std::uint64_t tag,
-                              std::function<void()> done) {
-  ChannelState& cs = state(src, dst, tag);
+void RdmaTransport::recv_wait(ChannelId id, std::function<void()> done) {
+  ChannelState& cs = channels_[id];
   if (cs.completed > cs.consumed) {
     ++cs.consumed;
-    cluster_.engine_for(dst).schedule(0, std::move(done));
+    cluster_.engine_for(cs.ch.dst).schedule(0, std::move(done));
     return;
   }
-  cs.waiters.push_back(std::move(done));
+  cs.waiter.park(std::move(done));
 }
 
 const TransportStats& RdmaTransport::stats() const {
   stats_ = TransportStats{};
-  for (const ChannelState* cs : by_index_) {
-    stats_.data_messages += cs->sent;
-    stats_.control_messages += cs->ctrl_src + cs->ctrl_dst;
-    stats_.credit_stalls += cs->stalls;
+  for (const ChannelState& cs : channels_) {
+    stats_.data_messages += cs.sent;
+    stats_.control_messages += cs.ctrl_src + cs.ctrl_dst;
+    stats_.credit_stalls += cs.stalls;
   }
   return stats_;
 }

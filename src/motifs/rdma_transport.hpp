@@ -18,8 +18,6 @@
 // the benches can measure exactly how much they cost.
 #pragma once
 
-#include <deque>
-#include <map>
 #include <memory>
 
 #include "motifs/transport.hpp"
@@ -41,11 +39,9 @@ class RdmaTransport final : public Transport {
   }
   void setup(const std::vector<Channel>& channels,
              std::function<void()> ready) override;
-  void recv_post(int dst, int src, std::uint64_t tag) override;
-  void send(int src, int dst, std::uint64_t tag,
-            std::function<void()> done) override;
-  void recv_wait(int dst, int src, std::uint64_t tag,
-                 std::function<void()> done) override;
+  void recv_post(ChannelId ch) override;
+  void send(ChannelId ch, std::function<void()> done) override;
+  void recv_wait(ChannelId ch, std::function<void()> done) override;
   const TransportStats& stats() const override;
 
   rdma::RdmaEndpoint& endpoint(int node) { return *endpoints_[node]; }
@@ -60,7 +56,6 @@ class RdmaTransport final : public Transport {
   // stats(); a shared TransportStats total would race.
   struct ChannelState {
     Channel ch;
-    std::uint32_t index = 0;
     // Sender side.
     rdma::RemoteBuffer remote;
     int credits = 0;
@@ -68,7 +63,7 @@ class RdmaTransport final : public Transport {
     std::uint64_t sent = 0;
     std::uint64_t stalls = 0;
     std::uint64_t ctrl_src = 0;  ///< handshakes + trailing completion sends
-    std::deque<std::function<void()>> credit_waiters;
+    WaiterSlot credit_waiter;    ///< a send stalled for credit
     // Receiver side.
     std::uint64_t ctrl_dst = 0;  ///< credit sends
     std::uint64_t region_addr = 0;
@@ -77,17 +72,16 @@ class RdmaTransport final : public Transport {
     std::uint64_t pending_posts = 0;    ///< recv_posts waiting for a slot
     std::uint64_t completed = 0;
     std::uint64_t consumed = 0;
-    std::deque<std::function<void()>> waiters;
+    WaiterSlot waiter;
   };
 
-  // Control-message immediate encoding: (type << 32) | channel index.
+  // Control-message immediate encoding: (type << 32) | ChannelId.
   static constexpr std::uint64_t kImmCredit = 1;
   static constexpr std::uint64_t kImmComplete = 2;
 
-  ChannelState& state(int src, int dst, std::uint64_t tag);
-  void issue_send(ChannelState& cs, std::function<void()> done);
-  void on_channel_complete(ChannelState& cs);
-  void grant_credit(ChannelState& cs);
+  void issue_send(ChannelId id, std::function<void()> done);
+  void on_channel_complete(ChannelId id);
+  void grant_credit(ChannelId id);
   void pump_cq(int node);
 
   cluster::Cluster& cluster_;
@@ -95,8 +89,7 @@ class RdmaTransport final : public Transport {
   bool ordered_network_;
   int slots_;
   std::vector<std::unique_ptr<rdma::RdmaEndpoint>> endpoints_;
-  std::map<std::tuple<int, int, std::uint64_t>, ChannelState> channels_;
-  std::vector<ChannelState*> by_index_;
+  std::vector<ChannelState> channels_;  ///< indexed by ChannelId
   mutable TransportStats stats_;  ///< scratch for stats() aggregation
 };
 

@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
+#include <cstdio>
+#include <cstdlib>
+#include <utility>
 
 namespace rvma::motifs {
 
@@ -17,30 +19,93 @@ MotifRunner::MotifRunner(cluster::Cluster& cluster, Transport& transport,
          "more ranks than nodes");
 }
 
-std::vector<Channel> MotifRunner::derive_channels(
-    const std::vector<RankProgram>& programs) {
-  std::map<std::tuple<int, int, std::uint64_t>, Channel> map;
+namespace {
+
+/// Channels in (src, dst, tag) order, plus each source rank's first
+/// index: rank r's channels are [first[r], first[r + 1]). The per-rank
+/// slices are small and sorted, so a lookup is a short binary search.
+struct ChannelTable {
+  std::vector<Channel> channels;
+  std::vector<ChannelId> first;
+
+  /// Id of (src -> dst, tag), or channels.size() when no send declares it.
+  ChannelId find(int src, int dst, std::uint64_t tag) const {
+    const auto none = static_cast<ChannelId>(channels.size());
+    if (src < 0 || src + 1 >= static_cast<int>(first.size())) return none;
+    const auto begin = channels.begin() + first[src];
+    const auto end = channels.begin() + first[src + 1];
+    const auto it = std::lower_bound(
+        begin, end, std::pair{dst, tag},
+        [](const Channel& ch, const std::pair<int, std::uint64_t>& key) {
+          return std::pair{ch.dst, ch.tag} < key;
+        });
+    if (it == end || it->dst != dst || it->tag != tag) return none;
+    return static_cast<ChannelId>(it - channels.begin());
+  }
+};
+
+ChannelTable build_table(const std::vector<RankProgram>& programs) {
+  ChannelTable table;
+  table.first.reserve(programs.size() + 1);
+  std::vector<Channel> sends;
   for (int rank = 0; rank < static_cast<int>(programs.size()); ++rank) {
+    const std::size_t rank_first = table.channels.size();
+    table.first.push_back(static_cast<ChannelId>(rank_first));
+    sends.clear();
     for (const Op& op : programs[rank]) {
-      if (op.kind != Op::Kind::kSend) continue;
-      auto key = std::make_tuple(rank, op.peer, op.tag);
-      auto [it, inserted] = map.try_emplace(key);
-      Channel& ch = it->second;
-      if (inserted) {
-        ch.src = rank;
-        ch.dst = op.peer;
-        ch.tag = op.tag;
-        ch.bytes = op.bytes;
+      if (op.kind == Op::Kind::kSend) {
+        sends.push_back({rank, op.peer, op.tag, op.bytes, 1});
       }
-      assert(ch.bytes == op.bytes &&
-             "all messages on a channel must be the same size");
-      ++ch.count;
+    }
+    std::sort(sends.begin(), sends.end(),
+              [](const Channel& a, const Channel& b) {
+                return std::pair{a.dst, a.tag} < std::pair{b.dst, b.tag};
+              });
+    for (const Channel& send : sends) {
+      if (table.channels.size() > rank_first) {
+        Channel& last = table.channels.back();
+        if (last.dst == send.dst && last.tag == send.tag) {
+          assert(last.bytes == send.bytes &&
+                 "all messages on a channel must be the same size");
+          ++last.count;
+          continue;
+        }
+      }
+      table.channels.push_back(send);
     }
   }
-  std::vector<Channel> out;
-  out.reserve(map.size());
-  for (auto& [key, ch] : map) out.push_back(ch);
-  return out;
+  table.first.push_back(static_cast<ChannelId>(table.channels.size()));
+  return table;
+}
+
+}  // namespace
+
+std::vector<Channel> MotifRunner::derive_channels(
+    const std::vector<RankProgram>& programs) {
+  return build_table(programs).channels;
+}
+
+std::vector<Channel> MotifRunner::number_channels(
+    std::vector<RankProgram>& programs) {
+  ChannelTable table = build_table(programs);
+  const auto none = static_cast<ChannelId>(table.channels.size());
+  for (int rank = 0; rank < static_cast<int>(programs.size()); ++rank) {
+    for (Op& op : programs[rank]) {
+      if (op.kind == Op::Kind::kCompute) continue;
+      const ChannelId id = op.kind == Op::Kind::kSend
+                               ? table.find(rank, op.peer, op.tag)
+                               : table.find(op.peer, rank, op.tag);
+      if (id == none) {
+        std::fprintf(stderr,
+                     "motif: rank %d receives from rank %d on tag %llu, "
+                     "which no send declares\n",
+                     rank, op.peer, static_cast<unsigned long long>(op.tag));
+        std::abort();
+      }
+      op.channel = id;
+    }
+  }
+  return std::move(table.channels);
 }
 
 MotifResult MotifRunner::run() {
@@ -50,7 +115,7 @@ MotifResult MotifRunner::run() {
   rank_finish_.assign(ranks, 0);
 
   bool setup_fired = false;
-  transport_.setup(derive_channels(programs_), [this, &setup_fired] {
+  transport_.setup(number_channels(programs_), [this, &setup_fired] {
     setup_fired = true;
     result_.setup_done = cluster_.engine().now();
     for (int rank = 0; rank < static_cast<int>(programs_.size()); ++rank) {
@@ -90,16 +155,15 @@ void MotifRunner::advance(int rank) {
     ++rank_ops_[static_cast<std::size_t>(rank)];
     switch (op.kind) {
       case Op::Kind::kRecvPost:
-        transport_.recv_post(rank, op.peer, op.tag);
+        transport_.recv_post(op.channel);
         continue;  // non-blocking: keep executing
 
       case Op::Kind::kSend:
-        transport_.send(rank, op.peer, op.tag, [this, rank] { advance(rank); });
+        transport_.send(op.channel, [this, rank] { advance(rank); });
         return;
 
       case Op::Kind::kRecvWait:
-        transport_.recv_wait(rank, op.peer, op.tag,
-                             [this, rank] { advance(rank); });
+        transport_.recv_wait(op.channel, [this, rank] { advance(rank); });
         return;
 
       case Op::Kind::kCompute:

@@ -25,10 +25,16 @@ struct Op {
   };
   Kind kind = Kind::kCompute;
   int peer = -1;
-  std::uint64_t tag = 0;
+  /// Builders name a send/recv op's channel by (peer, tag); MotifRunner
+  /// rewrites the tag to the channel's ChannelId before the run.
+  union {
+    std::uint64_t tag = 0;
+    ChannelId channel;
+  };
   std::uint64_t bytes = 0;
   Time compute = 0;
 };
+static_assert(sizeof(Op) == 32, "Op is the unit of motif program memory");
 
 /// One rank's program (ranks map 1:1 to cluster nodes).
 using RankProgram = std::vector<Op>;
@@ -46,10 +52,16 @@ class MotifRunner {
   MotifRunner(cluster::Cluster& cluster, Transport& transport,
               std::vector<RankProgram> programs);
 
-  /// Derive channels from the programs (sends are the source of truth);
-  /// exposed for tests.
+  /// Derive channels from the programs (sends are the source of truth),
+  /// in (src, dst, tag) order — the order that numbers ChannelIds.
   static std::vector<Channel> derive_channels(
       const std::vector<RankProgram>& programs);
+
+  /// derive_channels(), then rewrite every send/recv op's tag to the
+  /// ChannelId of its channel. Aborts when a receive names a (peer, tag)
+  /// that no send declares. run() calls it; exposed for tests.
+  static std::vector<Channel> number_channels(
+      std::vector<RankProgram>& programs);
 
   /// Execute to completion; runs the engine.
   MotifResult run();

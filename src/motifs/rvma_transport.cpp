@@ -1,8 +1,6 @@
 #include "cluster/cluster.hpp"
 #include "motifs/rvma_transport.hpp"
 
-#include <cassert>
-
 namespace rvma::motifs {
 
 RvmaTransport::RvmaTransport(cluster::Cluster& cluster,
@@ -15,45 +13,35 @@ RvmaTransport::RvmaTransport(cluster::Cluster& cluster,
   }
 }
 
-RvmaTransport::ChannelState& RvmaTransport::state(int src, int dst,
-                                                  std::uint64_t tag) {
-  const auto it = channels_.find({src, dst, tag});
-  assert(it != channels_.end() && "undeclared channel");
-  return it->second;
-}
-
 void RvmaTransport::setup(const std::vector<Channel>& channels,
                           std::function<void()> ready) {
-  for (const Channel& ch : channels) {
-    ChannelState cs;
-    cs.ch = ch;
-    cs.vaddr = next_vaddr_++;
-    cs.remaining_posts = ch.count;
-    channels_.emplace(std::make_tuple(ch.src, ch.dst, ch.tag), std::move(cs));
-  }
+  channels_.resize(channels.size());
   // Receiver-side, purely local: create windows, fill buckets, install
   // the per-mailbox completion observers.
-  for (auto& [key, cs_ref] : channels_) {
-    ChannelState& cs = cs_ref;
+  for (ChannelId id = 0; id < channels.size(); ++id) {
+    ChannelState& cs = channels_[id];
+    cs.ch = channels[id];
+    cs.remaining_posts = cs.ch.count;
+    const std::uint64_t vaddr = vaddr_of(id);
     core::RvmaEndpoint& ep = *endpoints_[cs.ch.dst];
-    ep.init_window(cs.vaddr, static_cast<std::int64_t>(cs.ch.bytes),
+    ep.init_window(vaddr, static_cast<std::int64_t>(cs.ch.bytes),
                    core::EpochType::kBytes);
     for (int i = 0; i < bucket_depth_ && cs.remaining_posts > 0; ++i) {
-      ep.post_buffer_timing_only(cs.vaddr, cs.ch.bytes);
+      ep.post_buffer_timing_only(vaddr, cs.ch.bytes);
       --cs.remaining_posts;
     }
-    ep.set_completion_observer(cs.vaddr, [this, &cs](void*, std::int64_t) {
+    ep.set_completion_observer(vaddr, [this, id](void*, std::int64_t) {
+      ChannelState& cs = channels_[id];
       ++cs.completed;
       // Top the bucket back up — a local post, no coordination message.
       if (cs.remaining_posts > 0) {
-        endpoints_[cs.ch.dst]->post_buffer_timing_only(cs.vaddr, cs.ch.bytes);
+        endpoints_[cs.ch.dst]->post_buffer_timing_only(vaddr_of(id),
+                                                       cs.ch.bytes);
         --cs.remaining_posts;
       }
-      if (!cs.waiters.empty() && cs.completed > cs.consumed) {
+      if (!cs.waiter.empty() && cs.completed > cs.consumed) {
         ++cs.consumed;
-        auto done = std::move(cs.waiters.front());
-        cs.waiters.pop_front();
-        done();
+        cs.waiter.take()();
       }
     });
   }
@@ -61,33 +49,32 @@ void RvmaTransport::setup(const std::vector<Channel>& channels,
   cluster_.engine().schedule(0, std::move(ready));
 }
 
-void RvmaTransport::recv_post(int, int, std::uint64_t) {
-  // Buffers are managed locally by the bucket top-up in pump(); posting a
-  // receive requires no action and, critically, no network message.
+void RvmaTransport::recv_post(ChannelId) {
+  // Buffers are managed locally by the completion observer's bucket
+  // top-up; posting a receive requires no action and, critically, no
+  // network message.
 }
 
-void RvmaTransport::send(int src, int dst, std::uint64_t tag,
-                         std::function<void()> done) {
-  ChannelState& cs = state(src, dst, tag);
+void RvmaTransport::send(ChannelId id, std::function<void()> done) {
+  ChannelState& cs = channels_[id];
   ++cs.sent;
-  endpoints_[src]->put(dst, cs.vaddr, 0, nullptr, cs.ch.bytes,
-                       std::move(done));
+  endpoints_[cs.ch.src]->put(cs.ch.dst, vaddr_of(id), 0, nullptr, cs.ch.bytes,
+                             std::move(done));
 }
 
-void RvmaTransport::recv_wait(int dst, int src, std::uint64_t tag,
-                              std::function<void()> done) {
-  ChannelState& cs = state(src, dst, tag);
+void RvmaTransport::recv_wait(ChannelId id, std::function<void()> done) {
+  ChannelState& cs = channels_[id];
   if (cs.completed > cs.consumed) {
     ++cs.consumed;
-    cluster_.engine_for(dst).schedule(0, std::move(done));
+    cluster_.engine_for(cs.ch.dst).schedule(0, std::move(done));
     return;
   }
-  cs.waiters.push_back(std::move(done));
+  cs.waiter.park(std::move(done));
 }
 
 const TransportStats& RvmaTransport::stats() const {
   stats_ = TransportStats{};
-  for (const auto& [key, cs] : channels_) stats_.data_messages += cs.sent;
+  for (const ChannelState& cs : channels_) stats_.data_messages += cs.sent;
   return stats_;
 }
 

@@ -9,8 +9,6 @@
 // posted" pattern — so senders never stall on the receiver.
 #pragma once
 
-#include <deque>
-#include <map>
 #include <memory>
 
 #include "core/endpoint.hpp"
@@ -28,11 +26,9 @@ class RvmaTransport final : public Transport {
   std::string name() const override { return "rvma"; }
   void setup(const std::vector<Channel>& channels,
              std::function<void()> ready) override;
-  void recv_post(int dst, int src, std::uint64_t tag) override;
-  void send(int src, int dst, std::uint64_t tag,
-            std::function<void()> done) override;
-  void recv_wait(int dst, int src, std::uint64_t tag,
-                 std::function<void()> done) override;
+  void recv_post(ChannelId ch) override;
+  void send(ChannelId ch, std::function<void()> done) override;
+  void recv_wait(ChannelId ch, std::function<void()> done) override;
   const TransportStats& stats() const override;
 
   core::RvmaEndpoint& endpoint(int node) { return *endpoints_[node]; }
@@ -40,24 +36,25 @@ class RvmaTransport final : public Transport {
  private:
   struct ChannelState {
     Channel ch;
-    std::uint64_t vaddr = 0;
     std::uint64_t sent = 0;     ///< written only on src's shard thread
     int remaining_posts = 0;    ///< buffers not yet posted
     std::uint64_t completed = 0;
     std::uint64_t consumed = 0;
-    std::deque<std::function<void()>> waiters;
+    WaiterSlot waiter;
   };
 
-  ChannelState& state(int src, int dst, std::uint64_t tag);
+  /// Channel `id`'s mailbox: one per channel, numbered in channel order.
+  static std::uint64_t vaddr_of(ChannelId id) {
+    return 0x11FF0000 + id;  // mailbox namespace
+  }
 
   cluster::Cluster& cluster_;
   int bucket_depth_;
   std::vector<std::unique_ptr<core::RvmaEndpoint>> endpoints_;
-  std::map<std::tuple<int, int, std::uint64_t>, ChannelState> channels_;
+  std::vector<ChannelState> channels_;  ///< indexed by ChannelId
   /// Aggregated from per-channel counters on demand: channel counters are
   /// single-writer on a sharded cluster, a shared total would race.
   mutable TransportStats stats_;
-  std::uint64_t next_vaddr_ = 0x11FF0000;  // mailbox namespace
 };
 
 }  // namespace rvma::motifs

@@ -1,5 +1,7 @@
 #include "motifs/sweep3d.hpp"
 
+#include <algorithm>
+
 namespace rvma::motifs {
 
 std::vector<RankProgram> build_sweep3d(const Sweep3DConfig& config) {
@@ -21,6 +23,14 @@ std::vector<RankProgram> build_sweep3d(const Sweep3DConfig& config) {
     for (int i = 0; i < pex; ++i) {
       const int rank = j * pex + i;
       RankProgram& prog = programs[rank];
+      // Allocate the program once, at its exact length. An octant step is
+      // a compute, a post and a wait per upstream neighbor and a send per
+      // downstream one; over the eight octants each x (y) neighbor is
+      // upstream four times and downstream four times.
+      const int x_neighbors = (i > 0) + (i < pex - 1);
+      const int y_neighbors = (j > 0) + (j < pey - 1);
+      prog.reserve(static_cast<std::size_t>(std::max(steps, 0)) *
+                   (8 + 12 * (x_neighbors + y_neighbors)));
       for (int octant = 0; octant < 8; ++octant) {
         const int* dir = kDirs[octant % 4];
         const int sx = dir[0], sy = dir[1];

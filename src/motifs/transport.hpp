@@ -7,16 +7,25 @@
 // up front; the transport performs whatever setup its protocol requires
 // (RDMA: buffer-negotiation handshakes; RVMA: local window init + buffer
 // posting, no network traffic), then serves sends and receives.
+//
+// Channels are addressed by dense index: a ChannelId is the channel's
+// position in the vector handed to setup(), so a transport keeps one flat
+// record per channel and never looks a channel up by key.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
 
 namespace rvma::motifs {
+
+/// Index of a channel in the vector passed to Transport::setup().
+using ChannelId = std::uint32_t;
 
 struct Channel {
   int src = -1;
@@ -34,6 +43,26 @@ struct TransportStats {
   std::uint64_t credit_stalls = 0;     ///< sends that had to wait for credit
 };
 
+/// The continuation a blocked channel side resumes. A rank blocks on each
+/// send and each recv_wait, so one side of a channel never holds more
+/// than one waiter; park() asserts it.
+class WaiterSlot {
+ public:
+  bool empty() const { return !fn_; }
+  void park(std::function<void()> fn) {
+    assert(empty() && "second waiter on one side of a channel");
+    fn_ = std::move(fn);
+  }
+  /// Empty the slot and return its continuation. The slot is free before
+  /// the continuation runs, so it may park the rank's next wait here.
+  std::function<void()> take() { return std::exchange(fn_, nullptr); }
+
+ private:
+  std::function<void()> fn_;
+};
+
+/// A channel has at most one send and one recv_wait outstanding at a time
+/// (see WaiterSlot).
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -45,19 +74,17 @@ class Transport {
   virtual void setup(const std::vector<Channel>& channels,
                      std::function<void()> ready) = 0;
 
-  /// Receiver pre-arms the next incoming message on (src -> dst, tag).
+  /// Receiver pre-arms the next incoming message on the channel.
   /// Local and non-blocking; RDMA uses it to return a credit to the sender.
-  virtual void recv_post(int dst, int src, std::uint64_t tag) = 0;
+  virtual void recv_post(ChannelId ch) = 0;
 
   /// Sender transfers one message on the channel. `done` fires when the
   /// sender may continue (local completion semantics of the protocol).
-  virtual void send(int src, int dst, std::uint64_t tag,
-                    std::function<void()> done) = 0;
+  virtual void send(ChannelId ch, std::function<void()> done) = 0;
 
   /// Receiver blocks until the next message on the channel has fully
   /// arrived and the protocol's completion notification has been observed.
-  virtual void recv_wait(int dst, int src, std::uint64_t tag,
-                         std::function<void()> done) = 0;
+  virtual void recv_wait(ChannelId ch, std::function<void()> done) = 0;
 
   virtual const TransportStats& stats() const = 0;
 };

@@ -1,7 +1,6 @@
 #include "scenario/transports.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "motifs/rdma_transport.hpp"
 #include "motifs/rvma_transport.hpp"
@@ -24,13 +23,6 @@ SocketsTransport::SocketsTransport(cluster::Cluster& cluster,
   }
 }
 
-SocketsTransport::ChannelState& SocketsTransport::state(int src, int dst,
-                                                        std::uint64_t tag) {
-  const auto it = channels_.find({src, dst, tag});
-  assert(it != channels_.end() && "undeclared channel");
-  return it->second;
-}
-
 void SocketsTransport::setup(const std::vector<motifs::Channel>& channels,
                              std::function<void()> ready) {
   std::uint64_t max_bytes = 0;
@@ -43,76 +35,73 @@ void SocketsTransport::setup(const std::vector<motifs::Channel>& channels,
   auto maybe_ready = [this, pending, ready]() {
     if (--*pending == 0) cluster_.engine().schedule(0, ready);
   };
-  for (const motifs::Channel& ch : channels) {
-    ChannelState cs;
-    cs.ch = ch;
+  channels_.resize(channels.size());
+  for (motifs::ChannelId id = 0; id < channels.size(); ++id) {
+    const motifs::Channel& ch = channels[id];
+    ChannelState* slot = &channels_[id];
+    slot->ch = ch;
     max_bytes = std::max(max_bytes, ch.bytes);
-    auto [it, inserted] =
-        channels_.emplace(std::make_tuple(ch.src, ch.dst, ch.tag),
-                          std::move(cs));
-    assert(inserted && "duplicate channel");
-    ChannelState* slot = &it->second;
-    stacks_[ch.dst]->listen(port, [slot, maybe_ready](sockets::ConnId id) {
-      slot->recv_conn = id;
+    stacks_[ch.dst]->listen(port, [slot, maybe_ready](sockets::ConnId conn) {
+      slot->recv_conn = conn;
       maybe_ready();
     });
     stacks_[ch.src]->connect(ch.dst, port,
-                             [slot, maybe_ready](sockets::ConnId id) {
-                               slot->send_conn = id;
+                             [slot, maybe_ready](sockets::ConnId conn) {
+                               slot->send_conn = conn;
                                maybe_ready();
                              });
     ++port;
   }
-  scratch_.assign(max_bytes, std::byte{0});
+  scratch_.assign(static_cast<std::size_t>(cluster_.num_shards()),
+                  std::vector<std::byte>(max_bytes, std::byte{0}));
   if (channels.empty()) cluster_.engine().schedule(0, std::move(ready));
 }
 
-void SocketsTransport::recv_post(int, int, std::uint64_t) {
+void SocketsTransport::recv_post(motifs::ChannelId) {
   // Receiver-managed placement: the stack owns its segment ring; arming a
   // receive requires no action and no message (paper §IV-B).
 }
 
-void SocketsTransport::send(int src, int dst, std::uint64_t tag,
-                            std::function<void()> done) {
-  ChannelState& cs = state(src, dst, tag);
-  ++stats_.data_messages;
-  stacks_[src]->send(cs.send_conn, scratch_.data(), cs.ch.bytes);
+void SocketsTransport::send(motifs::ChannelId id, std::function<void()> done) {
+  ChannelState& cs = channels_[id];
+  ++cs.sent;
+  stacks_[cs.ch.src]->send(cs.send_conn, scratch_for(cs.ch.src).data(),
+                           cs.ch.bytes);
   // Stream semantics: the send is fire-and-forget; the sender's buffer is
   // reusable as soon as the stack has staged the put.
-  cluster_.engine().schedule(0, std::move(done));
+  cluster_.engine_for(cs.ch.src).schedule(0, std::move(done));
 }
 
-void SocketsTransport::drain(ChannelState& cs) {
+void SocketsTransport::drain(motifs::ChannelId id) {
+  ChannelState& cs = channels_[id];
   sockets::SocketStack& stack = *stacks_[cs.ch.dst];
+  std::vector<std::byte>& sink = scratch_for(cs.ch.dst);
   while (cs.draining > 0) {
-    const std::uint64_t got = stack.recv(
-        cs.recv_conn, scratch_.data(),
-        std::min<std::uint64_t>(cs.draining, scratch_.size()));
+    const std::uint64_t got =
+        stack.recv(cs.recv_conn, sink.data(),
+                   std::min<std::uint64_t>(cs.draining, sink.size()));
     if (got == 0) break;
     cs.draining -= got;
   }
   if (cs.draining > 0) {
-    stack.recv_wait(cs.recv_conn, [this, &cs] { drain(cs); });
+    stack.recv_wait(cs.recv_conn, [this, id] { drain(id); });
     return;
   }
-  auto done = std::move(cs.waiters.front());
-  cs.waiters.pop_front();
-  done();
-  // Start the next queued message drain, if any.
-  if (!cs.waiters.empty()) {
-    cs.draining = cs.ch.bytes;
-    drain(cs);
-  }
+  cs.waiter.take()();
 }
 
-void SocketsTransport::recv_wait(int dst, int src, std::uint64_t tag,
+void SocketsTransport::recv_wait(motifs::ChannelId id,
                                  std::function<void()> done) {
-  ChannelState& cs = state(src, dst, tag);
-  cs.waiters.push_back(std::move(done));
-  if (cs.waiters.size() == 1) {
-    cs.draining = cs.ch.bytes;
-    drain(cs);
-  }
+  ChannelState& cs = channels_[id];
+  cs.waiter.park(std::move(done));
+  cs.draining = cs.ch.bytes;
+  drain(id);
+}
+
+const motifs::TransportStats& SocketsTransport::stats() const {
+  stats_ = motifs::TransportStats{};
+  for (const ChannelState& cs : channels_) stats_.data_messages += cs.sent;
+  return stats_;
 }
 
 // -------------------------------------------------------------------- rma
@@ -127,68 +116,63 @@ RmaTransport::RmaTransport(cluster::Cluster& cluster,
   }
 }
 
-RmaTransport::ChannelState& RmaTransport::state(int src, int dst,
-                                                std::uint64_t tag) {
-  const auto it = channels_.find({src, dst, tag});
-  assert(it != channels_.end() && "undeclared channel");
-  return it->second;
-}
-
 void RmaTransport::setup(const std::vector<motifs::Channel>& channels,
                          std::function<void()> ready) {
-  for (const motifs::Channel& ch : channels) {
-    ChannelState cs;
-    cs.ch = ch;
-    cs.vaddr = next_vaddr_++;
-    cs.remaining_posts = ch.count;
-    channels_.emplace(std::make_tuple(ch.src, ch.dst, ch.tag), std::move(cs));
-  }
-  for (auto& [key, cs_ref] : channels_) {
-    ChannelState& cs = cs_ref;
+  channels_.resize(channels.size());
+  for (motifs::ChannelId id = 0; id < channels.size(); ++id) {
+    ChannelState& cs = channels_[id];
+    cs.ch = channels[id];
+    cs.remaining_posts = cs.ch.count;
+    const std::uint64_t vaddr = vaddr_of(id);
     core::RvmaEndpoint& ep = *endpoints_[cs.ch.dst];
     // One operation per epoch: the message completes when its put has
     // fully arrived, independent of length — op-counted completion.
-    ep.init_window(cs.vaddr, 1, core::EpochType::kOps);
+    ep.init_window(vaddr, 1, core::EpochType::kOps);
     for (int i = 0; i < bucket_depth_ && cs.remaining_posts > 0; ++i) {
-      ep.post_buffer_timing_only(cs.vaddr, cs.ch.bytes);
+      ep.post_buffer_timing_only(vaddr, cs.ch.bytes);
       --cs.remaining_posts;
     }
-    ep.set_completion_observer(cs.vaddr, [this, &cs](void*, std::int64_t) {
+    ep.set_completion_observer(vaddr, [this, id](void*, std::int64_t) {
+      ChannelState& cs = channels_[id];
       ++cs.completed;
       if (cs.remaining_posts > 0) {
-        endpoints_[cs.ch.dst]->post_buffer_timing_only(cs.vaddr, cs.ch.bytes);
+        endpoints_[cs.ch.dst]->post_buffer_timing_only(vaddr_of(id),
+                                                       cs.ch.bytes);
         --cs.remaining_posts;
       }
-      if (!cs.waiters.empty() && cs.completed > cs.consumed) {
+      if (!cs.waiter.empty() && cs.completed > cs.consumed) {
         ++cs.consumed;
-        auto done = std::move(cs.waiters.front());
-        cs.waiters.pop_front();
-        done();
+        cs.waiter.take()();
       }
     });
   }
   cluster_.engine().schedule(0, std::move(ready));
 }
 
-void RmaTransport::recv_post(int, int, std::uint64_t) {}
+void RmaTransport::recv_post(motifs::ChannelId) {}
 
-void RmaTransport::send(int src, int dst, std::uint64_t tag,
-                        std::function<void()> done) {
-  ChannelState& cs = state(src, dst, tag);
-  ++stats_.data_messages;
-  endpoints_[src]->put(dst, cs.vaddr, 0, nullptr, cs.ch.bytes,
-                       std::move(done));
+void RmaTransport::send(motifs::ChannelId id, std::function<void()> done) {
+  ChannelState& cs = channels_[id];
+  ++cs.sent;
+  endpoints_[cs.ch.src]->put(cs.ch.dst, vaddr_of(id), 0, nullptr, cs.ch.bytes,
+                             std::move(done));
 }
 
-void RmaTransport::recv_wait(int dst, int src, std::uint64_t tag,
+void RmaTransport::recv_wait(motifs::ChannelId id,
                              std::function<void()> done) {
-  ChannelState& cs = state(src, dst, tag);
+  ChannelState& cs = channels_[id];
   if (cs.completed > cs.consumed) {
     ++cs.consumed;
-    cluster_.engine().schedule(0, std::move(done));
+    cluster_.engine_for(cs.ch.dst).schedule(0, std::move(done));
     return;
   }
-  cs.waiters.push_back(std::move(done));
+  cs.waiter.park(std::move(done));
+}
+
+const motifs::TransportStats& RmaTransport::stats() const {
+  stats_ = motifs::TransportStats{};
+  for (const ChannelState& cs : channels_) stats_.data_messages += cs.sent;
+  return stats_;
 }
 
 // ---------------------------------------------------------------- portals
@@ -206,27 +190,22 @@ PortalsTransport::PortalsTransport(cluster::Cluster& cluster,
   }
 }
 
-PortalsTransport::ChannelState& PortalsTransport::state(int src, int dst,
-                                                        std::uint64_t tag) {
-  const auto it = channels_.find({src, dst, tag});
-  assert(it != channels_.end() && "undeclared channel");
-  return it->second;
-}
-
 void PortalsTransport::setup(const std::vector<motifs::Channel>& channels,
                              std::function<void()> ready) {
-  obs::Counter& traversed =
-      cluster_.metrics().counter("portals.entries_traversed");
-  obs::Counter& matched = cluster_.metrics().counter("portals.matches");
-  for (const motifs::Channel& ch : channels) {
-    ChannelState cs;
-    cs.ch = ch;
-    cs.vaddr = next_vaddr_++;
-    cs.remaining_posts = ch.count;
-    channels_.emplace(std::make_tuple(ch.src, ch.dst, ch.tag), std::move(cs));
+  // Each node's matching unit counts into its own shard's registry.
+  match_counters_.resize(static_cast<std::size_t>(cluster_.num_nodes()));
+  for (int node = 0; node < cluster_.num_nodes(); ++node) {
+    obs::MetricsRegistry& registry = cluster_.nic(node).metrics();
+    match_counters_[static_cast<std::size_t>(node)] = {
+        &registry.counter("portals.entries_traversed"),
+        &registry.counter("portals.matches")};
   }
-  for (auto& [key, cs_ref] : channels_) {
-    ChannelState& cs = cs_ref;
+  channels_.resize(channels.size());
+  for (motifs::ChannelId id = 0; id < channels.size(); ++id) {
+    ChannelState& cs = channels_[id];
+    cs.ch = channels[id];
+    cs.remaining_posts = cs.ch.count;
+    const std::uint64_t vaddr = vaddr_of(id);
     core::RvmaEndpoint& ep = *endpoints_[cs.ch.dst];
     // The posted receive as a persistent match entry: source-qualified,
     // exact match bits, appended in channel declaration order.
@@ -235,58 +214,61 @@ void PortalsTransport::setup(const std::vector<motifs::Channel>& channels,
         .source = cs.ch.src,
         .use_once = false,
     });
-    ep.init_window(cs.vaddr, static_cast<std::int64_t>(cs.ch.bytes),
+    ep.init_window(vaddr, static_cast<std::int64_t>(cs.ch.bytes),
                    core::EpochType::kBytes);
     for (int i = 0; i < bucket_depth_ && cs.remaining_posts > 0; ++i) {
-      ep.post_buffer_timing_only(cs.vaddr, cs.ch.bytes);
+      ep.post_buffer_timing_only(vaddr, cs.ch.bytes);
       --cs.remaining_posts;
     }
-    ep.set_completion_observer(
-        cs.vaddr, [this, &cs, &traversed, &matched](void*, std::int64_t) {
-          // Model the matching unit's list walk for this arrival and
-          // account the entries it touched — the cost a single-lookup
-          // LUT never pays.
-          portals::MatchList& list = *match_lists_[cs.ch.dst];
-          const std::uint64_t before = list.entries_traversed();
-          list.match(cs.ch.src, cs.ch.tag);
-          traversed.inc(list.entries_traversed() - before);
-          matched.inc();
-          ++cs.completed;
-          if (cs.remaining_posts > 0) {
-            endpoints_[cs.ch.dst]->post_buffer_timing_only(cs.vaddr,
-                                                           cs.ch.bytes);
-            --cs.remaining_posts;
-          }
-          if (!cs.waiters.empty() && cs.completed > cs.consumed) {
-            ++cs.consumed;
-            auto done = std::move(cs.waiters.front());
-            cs.waiters.pop_front();
-            done();
-          }
-        });
+    ep.set_completion_observer(vaddr, [this, id](void*, std::int64_t) {
+      ChannelState& cs = channels_[id];
+      // Model the matching unit's list walk for this arrival and account
+      // the entries it touched — the cost a single-lookup LUT never pays.
+      portals::MatchList& list = *match_lists_[cs.ch.dst];
+      const MatchCounters& counters = match_counters_[cs.ch.dst];
+      const std::uint64_t before = list.entries_traversed();
+      list.match(cs.ch.src, cs.ch.tag);
+      counters.traversed->inc(list.entries_traversed() - before);
+      counters.matched->inc();
+      ++cs.completed;
+      if (cs.remaining_posts > 0) {
+        endpoints_[cs.ch.dst]->post_buffer_timing_only(vaddr_of(id),
+                                                       cs.ch.bytes);
+        --cs.remaining_posts;
+      }
+      if (!cs.waiter.empty() && cs.completed > cs.consumed) {
+        ++cs.consumed;
+        cs.waiter.take()();
+      }
+    });
   }
   cluster_.engine().schedule(0, std::move(ready));
 }
 
-void PortalsTransport::recv_post(int, int, std::uint64_t) {}
+void PortalsTransport::recv_post(motifs::ChannelId) {}
 
-void PortalsTransport::send(int src, int dst, std::uint64_t tag,
-                            std::function<void()> done) {
-  ChannelState& cs = state(src, dst, tag);
-  ++stats_.data_messages;
-  endpoints_[src]->put(dst, cs.vaddr, 0, nullptr, cs.ch.bytes,
-                       std::move(done));
+void PortalsTransport::send(motifs::ChannelId id, std::function<void()> done) {
+  ChannelState& cs = channels_[id];
+  ++cs.sent;
+  endpoints_[cs.ch.src]->put(cs.ch.dst, vaddr_of(id), 0, nullptr, cs.ch.bytes,
+                             std::move(done));
 }
 
-void PortalsTransport::recv_wait(int dst, int src, std::uint64_t tag,
+void PortalsTransport::recv_wait(motifs::ChannelId id,
                                  std::function<void()> done) {
-  ChannelState& cs = state(src, dst, tag);
+  ChannelState& cs = channels_[id];
   if (cs.completed > cs.consumed) {
     ++cs.consumed;
-    cluster_.engine().schedule(0, std::move(done));
+    cluster_.engine_for(cs.ch.dst).schedule(0, std::move(done));
     return;
   }
-  cs.waiters.push_back(std::move(done));
+  cs.waiter.park(std::move(done));
+}
+
+const motifs::TransportStats& PortalsTransport::stats() const {
+  stats_ = motifs::TransportStats{};
+  for (const ChannelState& cs : channels_) stats_.data_messages += cs.sent;
+  return stats_;
 }
 
 // --------------------------------------------------------- registration

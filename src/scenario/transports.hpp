@@ -5,8 +5,6 @@
 // registered backend.
 #pragma once
 
-#include <deque>
-#include <map>
 #include <memory>
 
 #include "core/endpoint.hpp"
@@ -30,12 +28,10 @@ class SocketsTransport final : public motifs::Transport {
   std::string name() const override { return "sockets"; }
   void setup(const std::vector<motifs::Channel>& channels,
              std::function<void()> ready) override;
-  void recv_post(int dst, int src, std::uint64_t tag) override;
-  void send(int src, int dst, std::uint64_t tag,
-            std::function<void()> done) override;
-  void recv_wait(int dst, int src, std::uint64_t tag,
-                 std::function<void()> done) override;
-  const motifs::TransportStats& stats() const override { return stats_; }
+  void recv_post(motifs::ChannelId ch) override;
+  void send(motifs::ChannelId ch, std::function<void()> done) override;
+  void recv_wait(motifs::ChannelId ch, std::function<void()> done) override;
+  const motifs::TransportStats& stats() const override;
 
   sockets::SocketStack& stack(int node) { return *stacks_[node]; }
 
@@ -46,18 +42,23 @@ class SocketsTransport final : public motifs::Transport {
     sockets::ConnId recv_conn = 0;  ///< valid on the dst node's stack
     /// Bytes of the message currently being drained by recv_wait.
     std::uint64_t draining = 0;
-    std::deque<std::function<void()>> waiters;
+    std::uint64_t sent = 0;  ///< written only on src's shard thread
+    motifs::WaiterSlot waiter;
   };
 
-  ChannelState& state(int src, int dst, std::uint64_t tag);
-  void drain(ChannelState& cs);
+  void drain(motifs::ChannelId id);
+  /// Payload source and receive sink for timing-only messages. Receives
+  /// write it, so each shard has its own.
+  std::vector<std::byte>& scratch_for(int node) {
+    return scratch_[static_cast<std::size_t>(cluster_.shard_of_node(node))];
+  }
 
   cluster::Cluster& cluster_;
   std::vector<std::unique_ptr<core::RvmaEndpoint>> endpoints_;
   std::vector<std::unique_ptr<sockets::SocketStack>> stacks_;
-  std::map<std::tuple<int, int, std::uint64_t>, ChannelState> channels_;
-  std::vector<std::byte> scratch_;  ///< zero payload for timing sends
-  motifs::TransportStats stats_;
+  std::vector<ChannelState> channels_;  ///< indexed by ChannelId
+  std::vector<std::vector<std::byte>> scratch_;  ///< per shard
+  mutable motifs::TransportStats stats_;  ///< scratch for stats()
 };
 
 /// Op-counted mailboxes (paper §IV-E flavor): each channel's window uses
@@ -72,31 +73,30 @@ class RmaTransport final : public motifs::Transport {
   std::string name() const override { return "rma"; }
   void setup(const std::vector<motifs::Channel>& channels,
              std::function<void()> ready) override;
-  void recv_post(int dst, int src, std::uint64_t tag) override;
-  void send(int src, int dst, std::uint64_t tag,
-            std::function<void()> done) override;
-  void recv_wait(int dst, int src, std::uint64_t tag,
-                 std::function<void()> done) override;
-  const motifs::TransportStats& stats() const override { return stats_; }
+  void recv_post(motifs::ChannelId ch) override;
+  void send(motifs::ChannelId ch, std::function<void()> done) override;
+  void recv_wait(motifs::ChannelId ch, std::function<void()> done) override;
+  const motifs::TransportStats& stats() const override;
 
  private:
   struct ChannelState {
     motifs::Channel ch;
-    std::uint64_t vaddr = 0;
     int remaining_posts = 0;
+    std::uint64_t sent = 0;  ///< written only on src's shard thread
     std::uint64_t completed = 0;
     std::uint64_t consumed = 0;
-    std::deque<std::function<void()>> waiters;
+    motifs::WaiterSlot waiter;
   };
 
-  ChannelState& state(int src, int dst, std::uint64_t tag);
+  static std::uint64_t vaddr_of(motifs::ChannelId id) {
+    return 0x33AA0000 + id;  // rma mailbox namespace
+  }
 
   cluster::Cluster& cluster_;
   int bucket_depth_;
   std::vector<std::unique_ptr<core::RvmaEndpoint>> endpoints_;
-  std::map<std::tuple<int, int, std::uint64_t>, ChannelState> channels_;
-  motifs::TransportStats stats_;
-  std::uint64_t next_vaddr_ = 0x33AA0000;  // rma mailbox namespace
+  std::vector<ChannelState> channels_;  ///< indexed by ChannelId
+  mutable motifs::TransportStats stats_;  ///< scratch for stats()
 };
 
 /// RVMA wire with Portals-style receive-side resolution: every channel's
@@ -112,12 +112,10 @@ class PortalsTransport final : public motifs::Transport {
   std::string name() const override { return "portals"; }
   void setup(const std::vector<motifs::Channel>& channels,
              std::function<void()> ready) override;
-  void recv_post(int dst, int src, std::uint64_t tag) override;
-  void send(int src, int dst, std::uint64_t tag,
-            std::function<void()> done) override;
-  void recv_wait(int dst, int src, std::uint64_t tag,
-                 std::function<void()> done) override;
-  const motifs::TransportStats& stats() const override { return stats_; }
+  void recv_post(motifs::ChannelId ch) override;
+  void send(motifs::ChannelId ch, std::function<void()> done) override;
+  void recv_wait(motifs::ChannelId ch, std::function<void()> done) override;
+  const motifs::TransportStats& stats() const override;
 
   const portals::MatchList& match_list(int node) const {
     return *match_lists_[node];
@@ -126,22 +124,30 @@ class PortalsTransport final : public motifs::Transport {
  private:
   struct ChannelState {
     motifs::Channel ch;
-    std::uint64_t vaddr = 0;
     int remaining_posts = 0;
+    std::uint64_t sent = 0;  ///< written only on src's shard thread
     std::uint64_t completed = 0;
     std::uint64_t consumed = 0;
-    std::deque<std::function<void()>> waiters;
+    motifs::WaiterSlot waiter;
   };
 
-  ChannelState& state(int src, int dst, std::uint64_t tag);
+  /// A node's portals.* registry counters, in its own shard's registry.
+  struct MatchCounters {
+    obs::Counter* traversed = nullptr;
+    obs::Counter* matched = nullptr;
+  };
+
+  static std::uint64_t vaddr_of(motifs::ChannelId id) {
+    return 0x44BB0000 + id;  // portals mailbox namespace
+  }
 
   cluster::Cluster& cluster_;
   int bucket_depth_;
   std::vector<std::unique_ptr<core::RvmaEndpoint>> endpoints_;
   std::vector<std::unique_ptr<portals::MatchList>> match_lists_;
-  std::map<std::tuple<int, int, std::uint64_t>, ChannelState> channels_;
-  motifs::TransportStats stats_;
-  std::uint64_t next_vaddr_ = 0x44BB0000;  // portals mailbox namespace
+  std::vector<MatchCounters> match_counters_;  ///< per node
+  std::vector<ChannelState> channels_;  ///< indexed by ChannelId
+  mutable motifs::TransportStats stats_;  ///< scratch for stats()
 };
 
 }  // namespace rvma::scenario

@@ -1,5 +1,6 @@
-// Pure unit tests for the RVMA NIC data structures: Mailbox buckets,
-// posted-buffer thresholds, the retire ring / rewind, and the counter pool.
+// Pure unit tests for the RVMA NIC data structures: Mailbox buckets (a
+// ring that wraps and grows), posted-buffer thresholds, the retire ring /
+// rewind, per-sender out-of-order marks, and the counter pool.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -134,6 +135,123 @@ TEST(Mailbox, BucketIsFifo) {
   EXPECT_EQ(mb.active().base, &marks[1]);
   mb.retire_active(false);
   EXPECT_EQ(mb.active().base, &marks[2]);
+}
+
+/// Post a 64-byte buffer marked by `base` and notification `notif`.
+void post_marked(Mailbox& mb, std::byte* base, void** notif = nullptr,
+                 std::int64_t* len = nullptr) {
+  PostedBuffer buf;
+  buf.base = base;
+  buf.size = 64;
+  buf.notif_ptr = notif;
+  buf.len_ptr = len;
+  ASSERT_EQ(mb.post(buf), Status::kOk);
+}
+
+/// Leave `mb` holding marks[2..6) in a wrapped ring: fill its 4 slots,
+/// retire two, and post two more, which land in slots 0 and 1.
+void post_wrapped(Mailbox& mb, std::array<std::byte, 16>& marks) {
+  for (int i = 0; i < 4; ++i) post_marked(mb, &marks[i]);
+  mb.retire_active(false);
+  mb.retire_active(false);
+  post_marked(mb, &marks[4]);
+  post_marked(mb, &marks[5]);  // the ring is full again
+}
+
+TEST(MailboxRing, FifoAcrossWrapAndGrowthWhileWrapped) {
+  Mailbox mb = make_mailbox();
+  std::array<std::byte, 16> marks{};
+  post_wrapped(mb, marks);
+  ASSERT_EQ(mb.posted_count(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(mb.posted(i).base, &marks[2 + i]);
+  }
+  // Grow while wrapped: the ring unwraps into twice the space, in order.
+  for (int i = 6; i < 11; ++i) post_marked(mb, &marks[i]);
+  ASSERT_EQ(mb.posted_count(), 9u);
+  for (std::size_t i = 0; i < 9; ++i) {
+    EXPECT_EQ(mb.posted(i).base, &marks[2 + i]);
+  }
+  EXPECT_EQ(mb.active().base, &marks[2]);
+}
+
+TEST(MailboxRing, RetireActiveAcrossWrap) {
+  Mailbox mb = make_mailbox();
+  std::array<std::byte, 16> marks{};
+  post_wrapped(mb, marks);
+  for (int i = 2; i < 6; ++i) {
+    mb.active().bytes_received = static_cast<std::uint64_t>(i);
+    const std::optional<RetiredBuffer> r = mb.retire_active(false);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->base, &marks[i]);
+    EXPECT_EQ(r->bytes_received, static_cast<std::uint64_t>(i));
+    EXPECT_EQ(r->epoch, i);
+  }
+  EXPECT_FALSE(mb.has_active());
+  EXPECT_FALSE(mb.retire_active(false).has_value());
+  // A drained ring keeps its space and restarts mid-ring.
+  post_marked(mb, &marks[6]);
+  EXPECT_EQ(mb.active().base, &marks[6]);
+  EXPECT_EQ(mb.active().bytes_received, 0u);
+  RetiredBuffer r;
+  ASSERT_EQ(mb.rewind(1, &r), Status::kOk);
+  EXPECT_EQ(r.base, &marks[5]);
+}
+
+TEST(MailboxRing, CollectNotifPtrsAcrossWrap) {
+  Mailbox mb = make_mailbox();
+  void* slots[8] = {};
+  std::array<std::byte, 16> marks{};
+  for (int i = 0; i < 4; ++i) post_marked(mb, &marks[i], &slots[i]);
+  mb.retire_active(false);
+  mb.retire_active(false);
+  post_marked(mb, &marks[4], &slots[4]);
+  post_marked(mb, &marks[5], &slots[5]);
+
+  void* out[8] = {};
+  ASSERT_EQ(mb.collect_notif_ptrs(out, 8), 4);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(out[i], static_cast<void*>(&slots[2 + i]));
+  }
+  EXPECT_EQ(mb.collect_notif_ptrs(out, 3), 3);  // count-limited, oldest first
+  EXPECT_EQ(out[2], static_cast<void*>(&slots[4]));
+}
+
+TEST(MailboxRing, DetachNotificationsAcrossWrap) {
+  Mailbox mb = make_mailbox();
+  void* notif = nullptr;
+  void* other = nullptr;
+  std::int64_t len = 0;
+  std::array<std::byte, 16> marks{};
+  for (int i = 0; i < 4; ++i) post_marked(mb, &marks[i], &notif, &len);
+  mb.retire_active(false);
+  mb.retire_active(false);
+  post_marked(mb, &marks[4], &notif, &len);  // wraps into slot 0
+  post_marked(mb, &marks[5], &other, &len);  // slot 1
+  mb.retire_active(false);  // queued: marks 3, 4, 5 from slot 3 on
+
+  mb.detach_notifications(&notif, &len);
+  ASSERT_EQ(mb.posted_count(), 3u);
+  EXPECT_EQ(mb.posted(0).base, &marks[3]);
+  EXPECT_EQ(mb.posted(0).notif_ptr, nullptr);
+  EXPECT_EQ(mb.posted(0).len_ptr, nullptr);
+  EXPECT_EQ(mb.posted(1).notif_ptr, nullptr);  // mark 4, wrapped
+  EXPECT_EQ(mb.posted(1).len_ptr, nullptr);
+  EXPECT_EQ(mb.posted(2).notif_ptr, &other);  // mark 5: other location kept
+  EXPECT_EQ(mb.posted(2).len_ptr, nullptr);   // ...but its len matched
+}
+
+TEST(Mailbox, OooDegreePerSender) {
+  Mailbox mb = make_mailbox();
+  // Senders arrive in no particular order; each keeps its own mark.
+  EXPECT_EQ(mb.ooo_degree(7, 10), 0u);
+  EXPECT_EQ(mb.ooo_degree(2, 5), 0u);
+  EXPECT_EQ(mb.ooo_degree(9, 1), 0u);
+  EXPECT_EQ(mb.ooo_degree(7, 8), 2u);   // overtaken by sender 7's post 10
+  EXPECT_EQ(mb.ooo_degree(2, 9), 0u);   // a gap is still in order
+  EXPECT_EQ(mb.ooo_degree(2, 6), 3u);
+  EXPECT_EQ(mb.ooo_degree(9, 0), 1u);
+  EXPECT_EQ(mb.ooo_degree(7, 11), 0u);
 }
 
 TEST(Mailbox, RetireAdvancesEpochAndCount) {

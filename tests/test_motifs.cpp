@@ -1,9 +1,12 @@
-// Motif engine tests: channel derivation, program generators, and the
-// runner over both transports — including the headline ordering property
-// (RVMA makespan <= RDMA makespan on the same workload).
+// Motif engine tests: channel derivation and ChannelId numbering, program
+// generators, and the runner over both transports — including the
+// headline ordering property (RVMA makespan <= RDMA makespan on the same
+// workload).
 #include <gtest/gtest.h>
 
 #include <map>
+#include <tuple>
+#include <utility>
 
 #include "cluster/cluster.hpp"
 #include "motifs/halo3d.hpp"
@@ -46,7 +49,87 @@ TEST(DeriveChannels, CountsAndSizes) {
   EXPECT_EQ(by_tag[9].count, 1);
 }
 
+TEST(NumberChannels, IdsFollowDeriveChannelsOrder) {
+  Halo3DConfig cfg;
+  cfg.px = 3;
+  cfg.py = 2;
+  cfg.pz = 2;
+  cfg.iterations = 2;
+  const std::vector<RankProgram> built = build_halo3d(cfg);
+  std::vector<RankProgram> numbered = built;
+  const std::vector<Channel> channels = MotifRunner::number_channels(numbered);
+  EXPECT_EQ(channels, MotifRunner::derive_channels(built));
+  ASSERT_FALSE(channels.empty());
+  for (std::size_t i = 1; i < channels.size(); ++i) {  // (src, dst, tag)
+    const Channel& a = channels[i - 1];
+    const Channel& b = channels[i];
+    EXPECT_LT(std::tie(a.src, a.dst, a.tag), std::tie(b.src, b.dst, b.tag));
+  }
+
+  for (std::size_t rank = 0; rank < built.size(); ++rank) {
+    ASSERT_EQ(numbered[rank].size(), built[rank].size());
+    for (std::size_t i = 0; i < built[rank].size(); ++i) {
+      const Op& op = built[rank][i];
+      const Op& out = numbered[rank][i];
+      ASSERT_EQ(out.kind, op.kind);
+      if (op.kind == Op::Kind::kCompute) {
+        EXPECT_EQ(out.compute, op.compute);
+        continue;
+      }
+      ASSERT_LT(out.channel, channels.size());
+      const Channel& ch = channels[out.channel];
+      const int me = static_cast<int>(rank);
+      const bool send = op.kind == Op::Kind::kSend;
+      EXPECT_EQ(ch.src, send ? me : op.peer);
+      EXPECT_EQ(ch.dst, send ? op.peer : me);
+      EXPECT_EQ(ch.tag, op.tag);
+      EXPECT_EQ(ch.bytes, op.bytes);
+    }
+  }
+}
+
+TEST(NumberChannelsDeathTest, UnmatchedReceiveFailsAtRunStart) {
+  // Rank 1 waits on tag 6; rank 0 only ever sends on tag 5.
+  std::vector<RankProgram> programs(2);
+  programs[0].push_back({Op::Kind::kSend, 1, 5, 1024, 0});
+  programs[1].push_back({Op::Kind::kRecvPost, 0, 6, 1024, 0});
+  programs[1].push_back({Op::Kind::kRecvWait, 0, 6, 1024, 0});
+  EXPECT_DEATH(
+      {
+        cluster::Cluster cluster(torus_config(2, net::Routing::kStatic),
+                                 nic::NicParams{});
+        RvmaTransport transport(cluster, core::RvmaParams{});
+        MotifRunner(cluster, transport, programs).run();
+      },
+      "rank 1 receives from rank 0 on tag 6, which no send declares");
+}
+
 // ------------------------------------------------------ program generators
+
+TEST(ProgramBuilders, AllocateExactOpCounts) {
+  // Each builder reserves a rank's program at its final length: no
+  // growth slack in the materialized programs.
+  for (const auto& [pex, pey] : {std::pair{1, 1}, {1, 4}, {3, 2}, {5, 5}}) {
+    Sweep3DConfig cfg;
+    cfg.pex = pex;
+    cfg.pey = pey;
+    cfg.nz = 24;
+    cfg.kba = 8;
+    for (const RankProgram& prog : build_sweep3d(cfg)) {
+      EXPECT_EQ(prog.capacity(), prog.size()) << pex << "x" << pey;
+    }
+  }
+  for (const int p : {1, 2, 3}) {
+    Halo3DConfig cfg;
+    cfg.px = p;
+    cfg.py = 2;
+    cfg.pz = p;
+    cfg.iterations = 3;
+    for (const RankProgram& prog : build_halo3d(cfg)) {
+      EXPECT_EQ(prog.capacity(), prog.size()) << p;
+    }
+  }
+}
 
 TEST(Sweep3D, ProgramShape) {
   Sweep3DConfig cfg;

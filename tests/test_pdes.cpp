@@ -1,7 +1,7 @@
 // Sharded parallel engine (PDES) tests: ShardedEngine window mechanics,
 // the Cluster's exactness clamps, and the headline guarantee — a windowed
 // K-shard run reproduces the serial run's observable results exactly, for
-// both transports (DESIGN.md §12).
+// all five motif transports (DESIGN.md §12).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +13,7 @@
 #include "motifs/rdma_transport.hpp"
 #include "motifs/runner.hpp"
 #include "motifs/rvma_transport.hpp"
+#include "scenario/transports.hpp"
 #include "sim/engine.hpp"
 #include "sim/sharded_engine.hpp"
 
@@ -162,16 +163,22 @@ Halo3DConfig halo27() {
 struct Observed {
   MotifResult result;
   net::FabricStats fabric;
+  obs::MetricsSnapshot metrics;  ///< minus the engine's own event counts
 };
 
 template <typename MakeTransport>
-Observed run_halo(int par_shards, MakeTransport make) {
-  cluster::Cluster cluster(torus27(net::Routing::kStatic), nic::NicParams{},
-                           par_shards);
+Observed run_halo(int par_shards, MakeTransport make,
+                  const net::NetworkConfig& network =
+                      torus27(net::Routing::kStatic),
+                  const Halo3DConfig& halo = halo27()) {
+  cluster::Cluster cluster(network, nic::NicParams{}, par_shards);
   auto transport = make(cluster);
   Observed obs;
-  obs.result = MotifRunner(cluster, *transport, build_halo3d(halo27())).run();
+  obs.result = MotifRunner(cluster, *transport, build_halo3d(halo)).run();
   obs.fabric = cluster.fabric_stats();
+  obs.metrics = cluster.collect_metrics();
+  obs.metrics.counters.erase("engine.events_executed");
+  obs.metrics.counters.erase("engine.events_scheduled");
   return obs;
 }
 
@@ -199,6 +206,7 @@ void expect_identical(const Observed& serial, const Observed& sharded) {
   EXPECT_EQ(serial.fabric.wire_bytes_delivered,
             sharded.fabric.wire_bytes_delivered);
   EXPECT_EQ(serial.fabric.max_port_backlog, sharded.fabric.max_port_backlog);
+  EXPECT_TRUE(serial.metrics == sharded.metrics);
 }
 
 TEST(PdesExactness, RvmaWindowedMatchesSerial) {
@@ -220,6 +228,52 @@ TEST(PdesExactness, RdmaWindowedMatchesSerial) {
     const Observed sharded = run_halo(k, make_rdma);
     expect_identical(serial, sharded);
   }
+}
+
+TEST(PdesExactness, SocketsWindowedMatchesSerial) {
+  // A sockets send's continuation runs on its sender's shard; scheduled
+  // on shard 0's engine instead, it shifts the makespan here already.
+  auto make_sockets = [](cluster::Cluster& c) {
+    return std::make_unique<scenario::SocketsTransport>(
+        c, sockets::SocketParams{});
+  };
+  const Observed serial = run_halo(1, make_sockets);
+  for (int k : {2, 3}) {
+    SCOPED_TRACE(k);
+    const Observed sharded = run_halo(k, make_sockets);
+    expect_identical(serial, sharded);
+  }
+}
+
+// rma and portals resume a receiver from recv_wait. On the 27-node halo
+// a continuation on the wrong shard's engine changes only engine events,
+// which are excluded; this 512-rank cell (8x8x8 torus, 8^3 cells and 4
+// variables a rank, 2 iterations) shows it in the makespan at K=4.
+template <typename MakeTransport>
+void expect_512_windowed_matches_serial(MakeTransport make) {
+  net::NetworkConfig torus = torus27(net::Routing::kStatic);
+  torus.nodes_hint = 512;
+  Halo3DConfig halo;
+  halo.px = halo.py = halo.pz = 8;
+  halo.nx = halo.ny = halo.nz = 8;
+  halo.vars = 4;
+  halo.iterations = 2;
+  const Observed serial = run_halo(1, make, torus, halo);
+  const Observed sharded = run_halo(4, make, torus, halo);
+  expect_identical(serial, sharded);
+}
+
+TEST(PdesExactness, RmaWindowedMatchesSerial) {
+  expect_512_windowed_matches_serial([](cluster::Cluster& c) {
+    return std::make_unique<scenario::RmaTransport>(c, core::RvmaParams{});
+  });
+}
+
+TEST(PdesExactness, PortalsWindowedMatchesSerial) {
+  expect_512_windowed_matches_serial([](cluster::Cluster& c) {
+    return std::make_unique<scenario::PortalsTransport>(c,
+                                                        core::RvmaParams{});
+  });
 }
 
 TEST(PdesExactness, ShardedRunsReplayIdentically) {

@@ -236,14 +236,23 @@ TEST(ScenarioRegistry, EveryTopologyMaterializes) {
 }
 
 TEST(ScenarioRegistry, EveryTransportMaterializes) {
+  // Besides the smoke barrier, a one-client incast: the server waits on
+  // one channel several times in a row, so each receive starts inside the
+  // continuation of the one before.
+  ScenarioSpec back_to_back = smoke_spec();
+  back_to_back.motif = "incast";
+  back_to_back.motif_params = {
+      {"clients", "1"}, {"messages_per_client", "4"}, {"bytes", "4KiB"}};
   for (const auto& [name, entry] : transports().entries()) {
     EXPECT_FALSE(entry.description.empty()) << name;
-    ScenarioSpec spec = smoke_spec();
-    spec.transport = name;
-    ScenarioResult result;
-    std::string error;
-    ASSERT_TRUE(run_scenario(spec, &result, &error)) << name << ": " << error;
-    EXPECT_GT(result.makespan, 0) << name;
+    for (ScenarioSpec spec : {smoke_spec(), back_to_back}) {
+      spec.transport = name;
+      ScenarioResult result;
+      std::string error;
+      ASSERT_TRUE(run_scenario(spec, &result, &error))
+          << name << " " << spec.motif << ": " << error;
+      EXPECT_GT(result.makespan, 0) << name << " " << spec.motif;
+    }
   }
 }
 

@@ -345,38 +345,59 @@ fi
 echo "route-table: table and metrics byte-identical algebraic vs materialized"
 
 # --- Paper-scale smoke gate ---------------------------------------------
-# One 8,192-rank fig8-style cell (torus3d-static, halo3d, RVMA) must run
-# to completion through rvma_run inside a wall-time and memory budget.
-# Construction is reported separately from simulation via --timing; the
-# budgets (60 s wall, 1 GiB RSS) are ~100x headroom over the measured
-# 0.4 s / 120 MiB so the gate catches regressions in kind, not noise.
-echo "paper-scale: 8192-rank torus halo3d cell via rvma_run"
+# Two 8,192-rank cells must run to completion through rvma_run inside a
+# wall-time and memory budget. Construction is reported separately from
+# simulation via --timing.
+#  * halo3d: a fig8-style cell (torus3d-static, RVMA, serial). Budgets
+#    60 s wall, 1 GiB RSS: ~100x headroom over the measured 0.4 s /
+#    120 MiB, so the gate catches regressions in kind, not noise.
+#  * sweep3d: the Fig 7 torus3d-static cell at 100 Gb/s with the fig7
+#    motif parameters, RVMA at --par-shards=4: 3.63M program ops and
+#    129,592 channels, each a transport record and a mailbox. Peak RSS
+#    is deterministic, so its budget is the measured 323.4 MiB
+#    (339,144,704 bytes, Release build, 4-vCPU host) plus 10%. Wall
+#    budget 60 s: it simulates in ~4.3 s on 4 cores.
 printf '{"format": "rvma-scenario-v1", "scenario": {}}\n' \
   > "$tmp_dir/paper_cell.json"
-paper_start=$(date +%s)
-"$build_dir/tools/rvma_run" "$tmp_dir/paper_cell.json" \
-  --topology=torus3d --routing=static --nodes=8192 --transport=rvma \
+# paper_gate NAME WALL_BUDGET_S RSS_BUDGET_BYTES RVMA_RUN_FLAGS...
+paper_gate() {
+  name=$1 wall_budget=$2 rss_budget=$3
+  shift 3
+  echo "paper-scale: 8192-rank torus $name cell via rvma_run"
+  paper_start=$(date +%s)
+  "$build_dir/tools/rvma_run" "$tmp_dir/paper_cell.json" \
+    --topology=torus3d --routing=static --nodes=8192 --transport=rvma \
+    --timing "$@" > "$tmp_dir/paper_$name.txt" \
+    2> "$tmp_dir/paper_${name}_timing.txt"
+  paper_wall=$(( $(date +%s) - paper_start ))
+  cat "$tmp_dir/paper_${name}_timing.txt"
+  if ! grep -q '^  packets: [1-9][0-9]* injected' "$tmp_dir/paper_$name.txt"
+  then
+    echo "ERROR: 8192-rank $name cell delivered no packets" >&2
+    exit 1
+  fi
+  if [ "$paper_wall" -gt "$wall_budget" ]; then
+    echo "ERROR: 8192-rank $name cell took ${paper_wall}s" \
+      "(budget ${wall_budget}s)" >&2
+    exit 1
+  fi
+  paper_rss=$(sed -n 's/.*peak_rss \([0-9]*\) bytes.*/\1/p' \
+    "$tmp_dir/paper_${name}_timing.txt")
+  if [ -n "$paper_rss" ] && [ "$paper_rss" -gt "$rss_budget" ]; then
+    echo "ERROR: 8192-rank $name cell peak rss $paper_rss bytes" \
+      "(budget $rss_budget bytes)" >&2
+    exit 1
+  fi
+  echo "paper-scale: $name completed in ${paper_wall}s, peak rss" \
+    "${paper_rss:-unknown} bytes (budgets: ${wall_budget}s," \
+    "$rss_budget bytes)"
+}
+paper_gate halo3d 60 1073741824 \
   --motif=halo3d --motif.nx=4 --motif.ny=4 --motif.nz=4 --motif.vars=4 \
-  --motif.iterations=1 --motif.compute_per_cell=50ps --timing \
-  > "$tmp_dir/paper_cell.txt" 2> "$tmp_dir/paper_cell_timing.txt"
-paper_wall=$(( $(date +%s) - paper_start ))
-cat "$tmp_dir/paper_cell_timing.txt"
-if ! grep -q '^  packets: [1-9][0-9]* injected' "$tmp_dir/paper_cell.txt"; then
-  echo "ERROR: 8192-rank cell delivered no packets" >&2
-  exit 1
-fi
-if [ "$paper_wall" -gt 60 ]; then
-  echo "ERROR: 8192-rank cell took ${paper_wall}s (budget 60s)" >&2
-  exit 1
-fi
-paper_rss=$(sed -n 's/.*peak_rss \([0-9]*\) bytes.*/\1/p' \
-  "$tmp_dir/paper_cell_timing.txt")
-if [ -n "$paper_rss" ] && [ "$paper_rss" -gt 1073741824 ]; then
-  echo "ERROR: 8192-rank cell peak rss $paper_rss bytes (budget 1 GiB)" >&2
-  exit 1
-fi
-echo "paper-scale: completed in ${paper_wall}s, peak rss" \
-  "${paper_rss:-unknown} bytes (budgets: 60s, 1 GiB)"
+  --motif.iterations=1 --motif.compute_per_cell=50ps
+paper_gate sweep3d 60 373059174 --par-shards=4 --seed=2021 \
+  --motif=sweep3d --motif.nx=48 --motif.ny=48 --motif.nz=64 \
+  --motif.kba=8 --motif.vars=4 --motif.compute_per_cell=20ps
 
 # --- Motif registry completeness gate -----------------------------------
 # `rvma_run --list` must name every built-in motif, including the
