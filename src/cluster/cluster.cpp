@@ -6,7 +6,6 @@
 #include <new>
 
 #include "common/log.hpp"
-#include "common/trace.hpp"
 
 namespace rvma::cluster {
 
@@ -68,17 +67,14 @@ nic::Nic* Cluster::NicSlab::emplace(sim::Engine& engine, net::Network& network,
 Cluster::Cluster(const net::NetworkConfig& net_config,
                  const nic::NicParams& nic_params, int par_shards) {
   // Every experiment builds a Cluster, so this is the one-time hook for
-  // the environment-driven diagnostics (RVMA_LOG / RVMA_TRACE).
+  // the environment-driven logging level (RVMA_LOG).
   static const bool env_initialized = [] {
     init_log_from_env();
-    init_trace_from_env();
     return true;
   }();
   (void)env_initialized;
 
   int k = std::max(1, par_shards);
-  // Exact sharding requires no global trace sink (one serial stream).
-  if (Tracer::global().enabled()) k = 1;
 
   // Shard 0 is built first: its network tells us the switch count, the
   // routing policy and the cross-shard lookahead, which bound how many

@@ -16,8 +16,7 @@
 // do, handed across through sim::ShardedEngine's windowed channels
 // (DESIGN.md §12). Falls back to one shard whenever conservative sharding
 // cannot be exact: a router that draws from the RNG (dragonfly adaptive;
-// per-network RNG streams would diverge), an active global tracer (one
-// serial sink), or zero cross-shard lookahead.
+// per-network RNG streams would diverge) or zero cross-shard lookahead.
 #pragma once
 
 #include <memory>
@@ -127,8 +126,8 @@ class Cluster {
   }
 
   /// Write the armed recorders' rings as one multi-shard "RVFR1" dump.
-  /// Shard sections are written in shard order; readers merge by
-  /// (time, shard, index), which is deterministic.
+  /// Shard sections are written in shard order; FlightDump::merged()
+  /// orders their records by content, the same at any shard count.
   bool write_flight_dump(const std::string& path,
                          std::string* error = nullptr) const;
 

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/log.hpp"
-#include "common/trace.hpp"
 
 namespace rvma::core {
 
@@ -261,11 +260,9 @@ void RvmaEndpoint::get(NodeId dst, std::uint64_t vaddr, std::uint64_t offset,
 }
 
 void RvmaEndpoint::send_nack(NodeId to, net::Pid to_pid, std::uint64_t vaddr,
-                             Status reason) {
-  RVMA_ETRACE(engine_, "rvma_drop",
-              {{"node", node()},
-               {"vaddr", static_cast<std::int64_t>(vaddr)},
-               {"reason", to_string(reason)}});
+                             std::uint64_t msg_id, Status reason) {
+  RVMA_FREC(engine_, engine_.now(), obs::SpanKind::kDrop, msg_id, node(),
+            static_cast<std::int64_t>(reason));
   if (!params_.nacks_enabled) return;
   ++stats_.nacks_sent;
   c_nacks_sent_->inc();
@@ -301,7 +298,8 @@ void RvmaEndpoint::handle_packet(const net::Packet& pkt) {
           if (it == lut_.end()) {
             ++stats_.drops_no_mailbox;
             c_drops_no_mailbox_->inc();
-            send_nack(copy.src, copy.msg->hdr.src_pid, vaddr, Status::kNoMailbox);
+            send_nack(copy.src, copy.msg->hdr.src_pid, vaddr, copy.msg->id,
+                      Status::kNoMailbox);
             return;
           }
         }
@@ -309,20 +307,23 @@ void RvmaEndpoint::handle_packet(const net::Packet& pkt) {
         if (mb.closed()) {
           ++stats_.drops_closed;
           c_drops_closed_->inc();
-          send_nack(copy.src, copy.msg->hdr.src_pid, vaddr, Status::kClosed);
+          send_nack(copy.src, copy.msg->hdr.src_pid, vaddr, copy.msg->id,
+                    Status::kClosed);
           return;
         }
         if (!via_catch_all && params_.enforce_keys && mb.key() != 0 &&
             copy.msg->hdr.imm != mb.key()) {
           ++stats_.drops_bad_key;
           c_drops_bad_key_->inc();
-          send_nack(copy.src, copy.msg->hdr.src_pid, vaddr, Status::kError);
+          send_nack(copy.src, copy.msg->hdr.src_pid, vaddr, copy.msg->id,
+                    Status::kError);
           return;
         }
         if (!mb.has_active()) {
           ++stats_.drops_no_buffer;
           c_drops_no_buffer_->inc();
-          send_nack(copy.src, copy.msg->hdr.src_pid, vaddr, Status::kNoBuffer);
+          send_nack(copy.src, copy.msg->hdr.src_pid, vaddr, copy.msg->id,
+                    Status::kNoBuffer);
           return;
         }
         // Counter update cost: free when the buffer's counter lives on the
@@ -335,8 +336,14 @@ void RvmaEndpoint::handle_packet(const net::Packet& pkt) {
           engine_.schedule(params_.host_counter_penalty,
                            [this, copy, &mb, via_catch_all] {
                              if (!mb.has_active() || mb.closed()) {
+                               // Counted and recorded, but not NACKed.
                                ++stats_.drops_no_buffer;
                                c_drops_no_buffer_->inc();
+                               RVMA_FREC(engine_, engine_.now(),
+                                         obs::SpanKind::kDrop, copy.msg->id,
+                                         node(),
+                                         static_cast<std::int64_t>(
+                                             Status::kNoBuffer));
                                return;
                              }
                              process_put(copy, mb, via_catch_all);
@@ -362,13 +369,14 @@ void RvmaEndpoint::handle_packet(const net::Packet& pkt) {
       const std::uint64_t offset = pkt.msg->hdr.offset;
       const std::uint64_t bytes = pkt.msg->hdr.imm;
       const std::uint64_t reply_vaddr = pkt.msg->hdr.imm2;
+      const std::uint64_t msg_id = pkt.msg->id;
       engine_.schedule(params_.lut_lookup, [this, requester, requester_pid,
-                                            vaddr, offset, bytes,
-                                            reply_vaddr] {
+                                            vaddr, offset, bytes, reply_vaddr,
+                                            msg_id] {
         const auto it = lut_.find(vaddr);
         if (it == lut_.end() || it->second.closed() ||
             !it->second.has_active()) {
-          send_nack(requester, requester_pid, vaddr, Status::kNoBuffer);
+          send_nack(requester, requester_pid, vaddr, msg_id, Status::kNoBuffer);
           return;
         }
         const PostedBuffer& buf = it->second.active();
@@ -408,7 +416,8 @@ void RvmaEndpoint::process_put(const net::Packet& pkt, Mailbox& mb,
     if (!mb.has_active()) {
       ++stats_.drops_no_buffer;
       c_drops_no_buffer_->inc();
-      send_nack(pkt.src, pkt.msg->hdr.src_pid, pkt.msg->hdr.addr, Status::kNoBuffer);
+      send_nack(pkt.src, pkt.msg->hdr.src_pid, pkt.msg->hdr.addr, pkt.msg->id,
+                Status::kNoBuffer);
       return;
     }
     PostedBuffer& buf = mb.active();
@@ -418,7 +427,8 @@ void RvmaEndpoint::process_put(const net::Packet& pkt, Mailbox& mb,
     if (place_at + remaining > buf.size && !managed) {
       ++stats_.drops_overflow;
       c_drops_overflow_->inc();
-      send_nack(pkt.src, pkt.msg->hdr.src_pid, pkt.msg->hdr.addr, Status::kOverflow);
+      send_nack(pkt.src, pkt.msg->hdr.src_pid, pkt.msg->hdr.addr, pkt.msg->id,
+                Status::kOverflow);
       return;
     }
     const std::uint64_t chunk =
@@ -501,13 +511,6 @@ void RvmaEndpoint::complete_active(Mailbox& mb, bool soft) {
     ++stats_.completions;
     c_completions_->inc();
   }
-  RVMA_ETRACE(engine_, "rvma_complete",
-              {{"node", node()},
-               {"vaddr", static_cast<std::int64_t>(vaddr)},
-               {"len", len},
-               {"epoch", mb.epoch()},
-               {"soft", soft ? 1 : 0},
-               {"lat_ps", static_cast<std::int64_t>(lat)}});
   RVMA_FREC(engine_, engine_.now(), obs::SpanKind::kCompletion, vaddr, node(),
             static_cast<std::int64_t>(lat));
   if (mb.has_active()) {

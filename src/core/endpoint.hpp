@@ -177,8 +177,10 @@ class RvmaEndpoint {
   void handle_packet(const net::Packet& pkt);
   void process_put(const net::Packet& pkt, Mailbox& mb, bool via_catch_all);
   void complete_active(Mailbox& mb, bool soft);
+  /// Refuse message `msg_id`: record its kDrop span (aux = `reason`),
+  /// then NACK the initiator unless NACKs are disabled.
   void send_nack(NodeId to, net::Pid to_pid, std::uint64_t vaddr,
-                 Status reason);
+                 std::uint64_t msg_id, Status reason);
   void assign_counter(PostedBuffer& buf);
 
   nic::Nic& nic_;

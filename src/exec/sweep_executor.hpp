@@ -2,10 +2,9 @@
 //
 // The evaluation suite (Figures 7/8 motif grids, the validation sweep,
 // the ablation benches) is a grid of self-contained (config -> result)
-// simulations: each job builds its own Cluster/Engine, so nothing is
-// shared between jobs but the process-wide trace/log sinks — which are
-// now safe to share (Tracer::record emits whole lines atomically) or
-// replaceable per engine (sim::Engine::set_tracer). This executor runs
+// simulations: each job builds its own Cluster/Engine (and, when armed,
+// its own flight recorders), so nothing is shared between jobs but the
+// log sink, which formats whole lines before one write. This executor runs
 // such grids across all cores with a small work-stealing thread pool and
 // returns results indexed by job, so callers print tables in
 // deterministic grid order no matter which worker finished what first.

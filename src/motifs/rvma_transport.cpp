@@ -4,8 +4,9 @@
 namespace rvma::motifs {
 
 RvmaTransport::RvmaTransport(cluster::Cluster& cluster,
-                             const core::RvmaParams& params, int bucket_depth)
-    : cluster_(cluster), bucket_depth_(bucket_depth) {
+                             const core::RvmaParams& params,
+                             core::EpochType epoch)
+    : cluster_(cluster), epoch_(epoch) {
   endpoints_.reserve(cluster.num_nodes());
   for (int node = 0; node < cluster.num_nodes(); ++node) {
     endpoints_.push_back(
@@ -24,9 +25,12 @@ void RvmaTransport::setup(const std::vector<Channel>& channels,
     cs.remaining_posts = cs.ch.count;
     const std::uint64_t vaddr = vaddr_of(id);
     core::RvmaEndpoint& ep = *endpoints_[cs.ch.dst];
-    ep.init_window(vaddr, static_cast<std::int64_t>(cs.ch.bytes),
-                   core::EpochType::kBytes);
-    for (int i = 0; i < bucket_depth_ && cs.remaining_posts > 0; ++i) {
+    ep.init_window(vaddr,
+                   epoch_ == core::EpochType::kOps
+                       ? 1
+                       : static_cast<std::int64_t>(cs.ch.bytes),
+                   epoch_);
+    for (int i = 0; i < kBucketDepth && cs.remaining_posts > 0; ++i) {
       ep.post_buffer_timing_only(vaddr, cs.ch.bytes);
       --cs.remaining_posts;
     }

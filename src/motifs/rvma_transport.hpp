@@ -7,6 +7,11 @@
 // pointer (Monitor/MWait wake). The receiver tops its bucket up locally as
 // buffers complete — the paper's RVMA_Win_get_epoch "keep N buffers
 // posted" pattern — so senders never stall on the receiver.
+//
+// The epoch type picks what completes a buffer: kBytes (the "rvma"
+// transport) counts the message's bytes, kOps (the "rma" transport)
+// counts one operation, so a put completes its buffer regardless of
+// length — the RMA epoch primitive src/rma builds its fences on.
 #pragma once
 
 #include <memory>
@@ -17,13 +22,14 @@
 
 namespace rvma::motifs {
 
-class RvmaTransport final : public Transport {
+class RvmaTransport : public Transport {
  public:
-  /// `bucket_depth`: buffers kept posted per mailbox at any time.
   RvmaTransport(cluster::Cluster& cluster, const core::RvmaParams& params,
-                int bucket_depth = 16);
+                core::EpochType epoch = core::EpochType::kBytes);
 
-  std::string name() const override { return "rvma"; }
+  std::string name() const override {
+    return epoch_ == core::EpochType::kOps ? "rma" : "rvma";
+  }
   void setup(const std::vector<Channel>& channels,
              std::function<void()> ready) override;
   void recv_post(ChannelId ch) override;
@@ -33,7 +39,13 @@ class RvmaTransport final : public Transport {
 
   core::RvmaEndpoint& endpoint(int node) { return *endpoints_[node]; }
 
+ protected:
+  const Channel& channel(ChannelId id) const { return channels_[id].ch; }
+
  private:
+  /// Buffers kept posted per mailbox at any time.
+  static constexpr int kBucketDepth = 16;
+
   struct ChannelState {
     Channel ch;
     std::uint64_t sent = 0;     ///< written only on src's shard thread
@@ -49,7 +61,7 @@ class RvmaTransport final : public Transport {
   }
 
   cluster::Cluster& cluster_;
-  int bucket_depth_;
+  core::EpochType epoch_;
   std::vector<std::unique_ptr<core::RvmaEndpoint>> endpoints_;
   std::vector<ChannelState> channels_;  ///< indexed by ChannelId
   /// Aggregated from per-channel counters on demand: channel counters are

@@ -6,7 +6,6 @@
 #include <cstdlib>
 
 #include "common/log.hpp"
-#include "common/trace.hpp"
 
 namespace rvma::net {
 
@@ -191,12 +190,6 @@ Time Fabric::charge_injection(NodeAttach& at, Packet& pkt) {
   c_injected_->inc();
   ++inflight_;
   pkt.injected_at = engine_.now();
-  RVMA_ETRACE(engine_, "pkt_inject",
-              {{"src", pkt.src},
-               {"dst", pkt.dst},
-               {"msg", static_cast<std::int64_t>(pkt.msg->id)},
-               {"seq", pkt.seq},
-               {"bytes", pkt.bytes}});
   RVMA_FREC(engine_, pkt.injected_at, obs::SpanKind::kTxInject, pkt.msg->id,
             pkt.src, static_cast<std::int64_t>(pkt.seq));
   const Time start = std::max(engine_.now(), at.inj_busy);
@@ -342,14 +335,6 @@ void Fabric::deliver(NodeId node, Packet&& pkt) {
   c_wire_bytes_->inc(pkt.wire_bytes());
   --inflight_;
   h_pkt_latency_ns_->record((engine_.now() - pkt.injected_at) / kNanosecond);
-  RVMA_ETRACE(engine_, "pkt_deliver",
-              {{"src", pkt.src},
-               {"dst", pkt.dst},
-               {"msg", static_cast<std::int64_t>(pkt.msg->id)},
-               {"seq", pkt.seq},
-               {"hops", pkt.hops},
-               {"lat_ps", static_cast<std::int64_t>(engine_.now() -
-                                                    pkt.injected_at)}});
   RVMA_FREC(engine_, engine_.now(), obs::SpanKind::kPktDeliver, pkt.msg->id,
             pkt.dst, static_cast<std::int64_t>(pkt.seq));
   NodeAttach& at = node_attach_[node];

@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "common/log.hpp"
-#include "common/trace.hpp"
 #include <memory>
 
 namespace rvma::nic {

@@ -8,6 +8,8 @@
 #include <set>
 #include <unordered_map>
 
+#include "common/status.hpp"
+
 namespace rvma::obs {
 namespace {
 
@@ -114,6 +116,7 @@ std::vector<MessagePath> build_message_paths(const FlightDump& dump) {
         p.seen |= MessagePath::kSeenMatch;
         break;
       case SpanKind::kCompletion:
+      case SpanKind::kDrop:
         break;
     }
   }
@@ -351,6 +354,23 @@ std::string format_flight_summary(const FlightDump& dump) {
   }
   for (const auto& [kind, count] : by_kind) {
     appendf(&out, "  %-14s %12" PRIu64 "\n", span_kind_name(kind), count);
+  }
+  return out;
+}
+
+std::string flight_jsonl(const FlightDump& dump) {
+  std::string out;
+  for (const SpanRecord& r : dump.merged()) {
+    appendf(&out,
+            "{\"t\":%" PRIu64 ",\"ev\":\"%s\",\"node\":%" PRId32
+            ",\"key\":%" PRIu64 ",\"aux\":%" PRId64,
+            r.t, span_kind_name(r.kind), r.node, r.key, r.aux);
+    if (static_cast<SpanKind>(r.kind) == SpanKind::kDrop) {
+      const std::string_view reason = to_string(static_cast<Status>(r.aux));
+      appendf(&out, ",\"reason\":\"%.*s\"", static_cast<int>(reason.size()),
+              reason.data());
+    }
+    out.append("}\n");
   }
   return out;
 }

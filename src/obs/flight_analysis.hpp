@@ -8,7 +8,9 @@
 //     https://ui.perfetto.dev,
 //   * a per-message critical-path breakdown (host vs wire vs rx vs
 //     mailbox time) with p50/p99/max and exemplar message ids,
-//   * a per-kind / per-shard record summary.
+//   * a per-kind / per-shard record summary,
+//   * JSONL, one object per span in content order (FlightDump::merged),
+//     byte-identical for one simulation at any shard count.
 //
 // All of this runs offline over the dump; nothing here is linked into
 // the simulation hot path.
@@ -95,5 +97,10 @@ std::string perfetto_json(const FlightDump& dump);
 
 /// Per-shard and per-kind record counts, dropped totals, time range.
 std::string format_flight_summary(const FlightDump& dump);
+
+/// One line per span in FlightDump::merged() order:
+/// {"t":<ps>,"ev":"<kind name>","node":N,"key":K,"aux":A}, plus
+/// "reason":"<Status name>" on drop lines. No shard id appears.
+std::string flight_jsonl(const FlightDump& dump);
 
 }  // namespace rvma::obs

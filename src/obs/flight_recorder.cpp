@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <tuple>
 
 namespace rvma::obs {
 namespace {
@@ -56,26 +57,18 @@ std::uint64_t FlightDump::total_records() const {
 }
 
 std::vector<SpanRecord> FlightDump::merged() const {
-  struct Tagged {
-    SpanRecord rec;
-    std::uint32_t shard;
-    std::uint64_t index;
-  };
-  std::vector<Tagged> all;
-  all.reserve(total_records());
-  for (const FlightShard& s : shards) {
-    for (std::size_t i = 0; i < s.records.size(); ++i) {
-      all.push_back({s.records[i], s.shard, i});
-    }
-  }
-  std::stable_sort(all.begin(), all.end(), [](const Tagged& a, const Tagged& b) {
-    if (a.rec.t != b.rec.t) return a.rec.t < b.rec.t;
-    if (a.shard != b.shard) return a.shard < b.shard;
-    return a.index < b.index;
-  });
   std::vector<SpanRecord> out;
-  out.reserve(all.size());
-  for (const Tagged& t : all) out.push_back(t.rec);
+  out.reserve(total_records());
+  for (const FlightShard& s : shards) {
+    out.insert(out.end(), s.records.begin(), s.records.end());
+  }
+  // Records equal in all five fields are identical bytes, so this total
+  // order needs no tie-break by shard or index.
+  std::sort(out.begin(), out.end(),
+            [](const SpanRecord& a, const SpanRecord& b) {
+              return std::tie(a.t, a.node, a.kind, a.key, a.aux) <
+                     std::tie(b.t, b.node, b.kind, b.key, b.aux);
+            });
   return out;
 }
 
@@ -123,7 +116,12 @@ bool read_flight_file(const std::string& path, FlightDump* out,
   char magic[8] = {};
   std::uint32_t version = 0;
   std::uint32_t count = 0;
-  bool ok = read_all(f, magic, sizeof(magic)) &&
+  // Bounds every section's record count before anything is allocated:
+  // a corrupt count must fail as a bad dump, not as a huge allocation.
+  std::fseek(f, 0, SEEK_END);
+  const long file_size = std::ftell(f);
+  std::fseek(f, 0, SEEK_SET);
+  bool ok = file_size >= 0 && read_all(f, magic, sizeof(magic)) &&
             std::memcmp(magic, kMagic, sizeof(kMagic)) == 0 &&
             read_all(f, &version, sizeof(version)) && version == kVersion &&
             read_all(f, &count, sizeof(count));
@@ -135,6 +133,12 @@ bool read_flight_file(const std::string& path, FlightDump* out,
          read_all(f, &reserved, sizeof(reserved)) &&
          read_all(f, &shard.dropped, sizeof(shard.dropped)) &&
          read_all(f, &n, sizeof(n));
+    if (ok) {
+      const long pos = std::ftell(f);
+      ok = pos >= 0 && pos <= file_size &&
+           n <= static_cast<std::uint64_t>(file_size - pos) /
+                    sizeof(SpanRecord);
+    }
     if (ok) {
       shard.records.resize(n);
       ok = n == 0 ||
@@ -161,6 +165,7 @@ const char* span_kind_name(std::uint32_t kind) {
     case SpanKind::kRxDispatch: return "rx_dispatch";
     case SpanKind::kMbMatch: return "mb_match";
     case SpanKind::kCompletion: return "completion";
+    case SpanKind::kDrop: return "drop";
   }
   return "unknown";
 }

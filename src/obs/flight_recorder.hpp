@@ -12,16 +12,16 @@
 // recorder on vs off, the same discipline as jobs=1-vs-N (enforced by a
 // run_bench.sh gate).
 //
-// Access pattern mirrors the Tracer (DESIGN §7): each Engine holds an
-// optional `FlightRecorder*`, hot paths guard with the `RVMA_FREC` macro
-// (one predictable branch when disarmed), and each shard of a sharded
-// cluster owns its own recorder so record() is single-threaded per ring.
+// Each Engine holds an optional `FlightRecorder*`, hot paths guard with
+// the `RVMA_FREC` macro (one predictable branch when disarmed), and each
+// shard of a sharded cluster owns its own recorder so record() is
+// single-threaded per ring. It is the simulator's only tracing system.
 //
 // Binary dump format ("RVFR1", DESIGN §14): a fixed header, then one
 // section per shard (shard id, dropped count, record count, records in
-// chronological order). Readers merge sections by (t, shard, index),
-// which is deterministic because each shard's ring is already sorted by
-// simulated time.
+// chronological order). FlightDump::merged() orders all sections' records
+// by content, (t, node, kind, key, aux), so one simulation merges to the
+// same sequence at any shard count.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +49,9 @@ enum class SpanKind : std::uint32_t {
                         ///  mailbox; aux = mailbox vaddr
   kCompletion = 8,      ///< counted completion fired (key = buffer vaddr,
                         ///  not message id); aux = completion latency, ps
+  kDrop = 9,            ///< target NIC refused a packet of the message
+                        ///  (one per rvma.drops_* increment, and per
+                        ///  refused get); aux = Status code of the reason
 };
 
 /// One 32-byte POD record. `key` is the message identity (`Message::id`,
@@ -114,7 +117,9 @@ struct FlightShard {
 struct FlightDump {
   std::vector<FlightShard> shards;
   std::uint64_t total_records() const;
-  /// All records merged deterministically by (t, shard, index).
+  /// All records ordered by content, (t, node, kind, key, aux): no shard
+  /// id or ring position enters the order, so a simulation merges to the
+  /// same sequence at any --par-shards.
   std::vector<SpanRecord> merged() const;
 };
 
@@ -125,7 +130,8 @@ bool write_flight_file(
     std::string* error = nullptr);
 
 /// Read a dump written by write_flight_file. Returns false (and sets
-/// *error) on missing file, bad magic, or truncated sections.
+/// *error) on missing file, bad magic, or truncated sections — including
+/// a record count larger than the bytes left in the file.
 bool read_flight_file(const std::string& path, FlightDump* out,
                       std::string* error = nullptr);
 

@@ -1,9 +1,9 @@
 // Minimal JSON value + recursive-descent parser for the analysis tools.
 //
-// Scope: exactly what rvma_metrics needs to read the documents this repo
-// writes (metrics files, JSONL trace lines) — objects, arrays, strings
-// with basic escapes, integer/double numbers, booleans, null. Not a
-// general-purpose library; no external dependencies.
+// Scope: exactly what is needed to read the documents this repo writes
+// (metrics files, scenario specs, rvma_trace JSONL lines) — objects,
+// arrays, strings with basic escapes, integer/double numbers, booleans,
+// null. Not a general-purpose library; no external dependencies.
 #pragma once
 
 #include <cstdint>

@@ -135,9 +135,7 @@ bool run_grid(const GridSpec& grid, int jobs, std::vector<GridCell>* out,
         if (!spec.pdes_profile_path.empty()) {
           spec.pdes_profile_path += ".run" + std::to_string(i);
         }
-        const bool ok = run_scenario(
-            spec, &result, &run_error, /*trace_sink=*/nullptr,
-            /*eng_id=*/static_cast<std::int64_t>(i));
+        const bool ok = run_scenario(spec, &result, &run_error);
         assert(ok && "grid cell failed after validation");
         (void)ok;
         // Label from grid coordinates, not completion order: the same run

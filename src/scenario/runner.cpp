@@ -1,10 +1,7 @@
 #include "scenario/runner.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <memory>
-#include <string_view>
-#include <vector>
 
 #include "common/rss.hpp"
 #include "motifs/runner.hpp"
@@ -55,53 +52,6 @@ bool resolve(const ScenarioSpec& spec, net::NetworkConfig* cfg,
   return true;
 }
 
-/// Every record() line opens {"t":<ps>, — recover <ps> for the merge key.
-Time parse_trace_time(std::string_view line) {
-  constexpr std::string_view kPrefix = "{\"t\":";
-  if (line.substr(0, kPrefix.size()) != kPrefix) return 0;
-  Time t = 0;
-  for (std::size_t i = kPrefix.size(); i < line.size(); ++i) {
-    const char c = line[i];
-    if (c < '0' || c > '9') break;
-    t = t * 10 + static_cast<Time>(c - '0');
-  }
-  return t;
-}
-
-/// Merge the per-shard JSONL buffers into the armed sink, ordered by
-/// (event time, shard, per-shard line index). Each shard's buffer is
-/// already time-sorted (its engine records in execution order), so this
-/// total order is a pure function of the event timeline — the merged file
-/// is byte-identical across reruns at any thread schedule.
-void merge_shard_traces(
-    const std::vector<std::unique_ptr<Tracer>>& shard_tracers, Tracer* sink) {
-  struct Line {
-    Time t;
-    std::size_t shard;
-    std::size_t index;
-    std::string_view text;  ///< one JSONL line, '\n' included
-  };
-  std::vector<Line> lines;
-  for (std::size_t k = 0; k < shard_tracers.size(); ++k) {
-    const std::string& buffer = shard_tracers[k]->buffer();
-    std::size_t start = 0;
-    std::size_t index = 0;
-    while (start < buffer.size()) {
-      std::size_t nl = buffer.find('\n', start);
-      if (nl == std::string::npos) nl = buffer.size() - 1;
-      const std::string_view text(buffer.data() + start, nl - start + 1);
-      lines.push_back(Line{parse_trace_time(text), k, index++, text});
-      start = nl + 1;
-    }
-  }
-  std::sort(lines.begin(), lines.end(), [](const Line& a, const Line& b) {
-    if (a.t != b.t) return a.t < b.t;
-    if (a.shard != b.shard) return a.shard < b.shard;
-    return a.index < b.index;
-  });
-  for (const Line& line : lines) sink->write_line(line.text);
-}
-
 }  // namespace
 
 bool validate_scenario(const ScenarioSpec& spec, std::string* error) {
@@ -125,8 +75,7 @@ bool validate_scenario(const ScenarioSpec& spec, std::string* error) {
 }
 
 bool run_scenario(const ScenarioSpec& spec, ScenarioResult* out,
-                  std::string* error, Tracer* trace_sink,
-                  std::int64_t eng_id, RunTiming* timing) {
+                  std::string* error, RunTiming* timing) {
   net::NetworkConfig cfg;
   const TransportEntry* transport_entry = nullptr;
   const MotifEntry* motif_entry = nullptr;
@@ -136,10 +85,7 @@ bool run_scenario(const ScenarioSpec& spec, ScenarioResult* out,
   // Sharded execution must be exact; mid-run gauge sampling reads one
   // shard's engine mid-window, so it clamps back to serial here (Cluster
   // itself additionally clamps for routing that draws from the RNG
-  // (dragonfly adaptive), the global tracer, and zero-lookahead
-  // topologies). An armed per-run trace sink no longer
-  // clamps: sharded runs record into per-shard buffered tracers and merge
-  // them deterministically below.
+  // (dragonfly adaptive) and zero-lookahead topologies).
   int shards = spec.par_shards;
   if (spec.sample_period > 0) shards = 1;
   const auto t_build0 = std::chrono::steady_clock::now();
@@ -147,26 +93,6 @@ bool run_scenario(const ScenarioSpec& spec, ScenarioResult* out,
   nic_params.doorbell_batch = static_cast<std::uint32_t>(spec.doorbell_batch);
   cluster::Cluster cluster(cfg, nic_params, shards);
   const auto t_build1 = std::chrono::steady_clock::now();
-  // Stamp the run id even when keeping the process-default sink: serial
-  // grids funnel every run through Tracer::global(), and without distinct
-  // "eng" fields trace analyses would mix (and double-count) the runs.
-  std::vector<std::unique_ptr<Tracer>> shard_tracers;
-  if (trace_sink != nullptr && trace_sink->enabled() && cluster.sharded()) {
-    // Shard-safe tracing: each shard engine records into its own
-    // in-memory buffer (single-threaded by construction), merged into the
-    // armed sink after the run. The sink itself is never touched from a
-    // worker thread.
-    for (int k = 0; k < cluster.num_shards(); ++k) {
-      auto tracer = std::make_unique<Tracer>();
-      tracer->open_buffer();
-      cluster.engine_for_shard(k).set_tracer(tracer.get(), eng_id);
-      shard_tracers.push_back(std::move(tracer));
-    }
-  } else {
-    cluster.engine().set_tracer(
-        trace_sink != nullptr ? trace_sink : cluster.engine().tracer(),
-        eng_id);
-  }
   if (spec.sample_period > 0) cluster.enable_sampling(spec.sample_period);
   if (!spec.flight_recorder_path.empty()) {
     cluster.arm_flight_recorder(
@@ -214,7 +140,6 @@ bool run_scenario(const ScenarioSpec& spec, ScenarioResult* out,
     makespan = result.makespan;
     engine_events = result.engine_events;
   }
-  if (!shard_tracers.empty()) merge_shard_traces(shard_tracers, trace_sink);
   if (!spec.flight_recorder_path.empty()) {
     std::string dump_error;
     if (!cluster.write_flight_dump(spec.flight_recorder_path, &dump_error)) {
@@ -254,7 +179,6 @@ bool run_scenario(const ScenarioSpec& spec, ScenarioResult* out,
   res.packets_delivered = fabric.packets_delivered;
   res.route_cache_hits = fabric.route_cache_hits;
   res.engine_events = engine_events;
-  res.trace_events = trace_sink != nullptr ? trace_sink->events_written() : 0;
   res.metrics = cluster.collect_metrics();
   if (spec.sample_period > 0) res.series = cluster.sampler().take_series();
   *out = std::move(res);

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_io.hpp"
 #include "obs/sampler.hpp"
@@ -27,9 +26,6 @@ struct ScenarioResult {
   std::uint64_t packets_delivered = 0;
   std::uint64_t route_cache_hits = 0;
   std::uint64_t engine_events = 0;
-  /// Events recorded into the per-run sink; 0 when the run used the
-  /// process-default sink (per-run attribution impossible there).
-  std::uint64_t trace_events = 0;
   /// Full registry dump for the run (counters, gauge high-waters,
   /// histograms) — mergeable across grids in grid order.
   obs::MetricsSnapshot metrics;
@@ -56,13 +52,10 @@ struct RunTiming {
 /// before fanning a grid out so workers cannot fail mid-sweep.
 bool validate_scenario(const ScenarioSpec& spec, std::string* error);
 
-/// Run one scenario. When `trace_sink` is non-null it becomes the run's
-/// engine sink (per-run isolation); null keeps the process default.
-/// `eng_id` is stamped into every trace record so analyses can separate
-/// runs sharing one sink; grid runners pass the run index.
+/// Run one scenario. `timing`, when non-null, receives host wall clocks
+/// and memory.
 bool run_scenario(const ScenarioSpec& spec, ScenarioResult* out,
-                  std::string* error, Tracer* trace_sink = nullptr,
-                  std::int64_t eng_id = 0, RunTiming* timing = nullptr);
+                  std::string* error, RunTiming* timing = nullptr);
 
 /// Metrics document for a single (non-grid) run.
 obs::MetricsDoc build_scenario_metrics_doc(const ScenarioSpec& spec,

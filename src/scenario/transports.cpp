@@ -104,171 +104,49 @@ const motifs::TransportStats& SocketsTransport::stats() const {
   return stats_;
 }
 
-// -------------------------------------------------------------------- rma
-
-RmaTransport::RmaTransport(cluster::Cluster& cluster,
-                           const core::RvmaParams& params, int bucket_depth)
-    : cluster_(cluster), bucket_depth_(bucket_depth) {
-  endpoints_.reserve(cluster.num_nodes());
-  for (int node = 0; node < cluster.num_nodes(); ++node) {
-    endpoints_.push_back(
-        std::make_unique<core::RvmaEndpoint>(cluster.nic(node), params));
-  }
-}
-
-void RmaTransport::setup(const std::vector<motifs::Channel>& channels,
-                         std::function<void()> ready) {
-  channels_.resize(channels.size());
-  for (motifs::ChannelId id = 0; id < channels.size(); ++id) {
-    ChannelState& cs = channels_[id];
-    cs.ch = channels[id];
-    cs.remaining_posts = cs.ch.count;
-    const std::uint64_t vaddr = vaddr_of(id);
-    core::RvmaEndpoint& ep = *endpoints_[cs.ch.dst];
-    // One operation per epoch: the message completes when its put has
-    // fully arrived, independent of length — op-counted completion.
-    ep.init_window(vaddr, 1, core::EpochType::kOps);
-    for (int i = 0; i < bucket_depth_ && cs.remaining_posts > 0; ++i) {
-      ep.post_buffer_timing_only(vaddr, cs.ch.bytes);
-      --cs.remaining_posts;
-    }
-    ep.set_completion_observer(vaddr, [this, id](void*, std::int64_t) {
-      ChannelState& cs = channels_[id];
-      ++cs.completed;
-      if (cs.remaining_posts > 0) {
-        endpoints_[cs.ch.dst]->post_buffer_timing_only(vaddr_of(id),
-                                                       cs.ch.bytes);
-        --cs.remaining_posts;
-      }
-      if (!cs.waiter.empty() && cs.completed > cs.consumed) {
-        ++cs.consumed;
-        cs.waiter.take()();
-      }
-    });
-  }
-  cluster_.engine().schedule(0, std::move(ready));
-}
-
-void RmaTransport::recv_post(motifs::ChannelId) {}
-
-void RmaTransport::send(motifs::ChannelId id, std::function<void()> done) {
-  ChannelState& cs = channels_[id];
-  ++cs.sent;
-  endpoints_[cs.ch.src]->put(cs.ch.dst, vaddr_of(id), 0, nullptr, cs.ch.bytes,
-                             std::move(done));
-}
-
-void RmaTransport::recv_wait(motifs::ChannelId id,
-                             std::function<void()> done) {
-  ChannelState& cs = channels_[id];
-  if (cs.completed > cs.consumed) {
-    ++cs.consumed;
-    cluster_.engine_for(cs.ch.dst).schedule(0, std::move(done));
-    return;
-  }
-  cs.waiter.park(std::move(done));
-}
-
-const motifs::TransportStats& RmaTransport::stats() const {
-  stats_ = motifs::TransportStats{};
-  for (const ChannelState& cs : channels_) stats_.data_messages += cs.sent;
-  return stats_;
-}
-
 // ---------------------------------------------------------------- portals
 
 PortalsTransport::PortalsTransport(cluster::Cluster& cluster,
-                                   const core::RvmaParams& params,
-                                   int bucket_depth)
-    : cluster_(cluster), bucket_depth_(bucket_depth) {
-  endpoints_.reserve(cluster.num_nodes());
-  match_lists_.reserve(cluster.num_nodes());
+                                   const core::RvmaParams& params)
+    : motifs::RvmaTransport(cluster, params),
+      match_lists_(static_cast<std::size_t>(cluster.num_nodes())) {
+  // Each node's matching unit counts into its own shard's registry.
+  match_counters_.reserve(match_lists_.size());
   for (int node = 0; node < cluster.num_nodes(); ++node) {
-    endpoints_.push_back(
-        std::make_unique<core::RvmaEndpoint>(cluster.nic(node), params));
-    match_lists_.push_back(std::make_unique<portals::MatchList>());
+    obs::MetricsRegistry& registry = cluster.nic(node).metrics();
+    match_counters_.push_back({&registry.counter("portals.entries_traversed"),
+                               &registry.counter("portals.matches")});
   }
 }
 
 void PortalsTransport::setup(const std::vector<motifs::Channel>& channels,
                              std::function<void()> ready) {
-  // Each node's matching unit counts into its own shard's registry.
-  match_counters_.resize(static_cast<std::size_t>(cluster_.num_nodes()));
-  for (int node = 0; node < cluster_.num_nodes(); ++node) {
-    obs::MetricsRegistry& registry = cluster_.nic(node).metrics();
-    match_counters_[static_cast<std::size_t>(node)] = {
-        &registry.counter("portals.entries_traversed"),
-        &registry.counter("portals.matches")};
-  }
-  channels_.resize(channels.size());
-  for (motifs::ChannelId id = 0; id < channels.size(); ++id) {
-    ChannelState& cs = channels_[id];
-    cs.ch = channels[id];
-    cs.remaining_posts = cs.ch.count;
-    const std::uint64_t vaddr = vaddr_of(id);
-    core::RvmaEndpoint& ep = *endpoints_[cs.ch.dst];
-    // The posted receive as a persistent match entry: source-qualified,
-    // exact match bits, appended in channel declaration order.
-    match_lists_[cs.ch.dst]->append(portals::MatchEntry{
-        .match_bits = cs.ch.tag,
-        .source = cs.ch.src,
+  // Each posted receive as a persistent match entry: source-qualified,
+  // exact match bits, appended in channel declaration order.
+  for (const motifs::Channel& ch : channels) {
+    match_lists_[ch.dst].append(portals::MatchEntry{
+        .match_bits = ch.tag,
+        .source = ch.src,
         .use_once = false,
     });
-    ep.init_window(vaddr, static_cast<std::int64_t>(cs.ch.bytes),
-                   core::EpochType::kBytes);
-    for (int i = 0; i < bucket_depth_ && cs.remaining_posts > 0; ++i) {
-      ep.post_buffer_timing_only(vaddr, cs.ch.bytes);
-      --cs.remaining_posts;
-    }
-    ep.set_completion_observer(vaddr, [this, id](void*, std::int64_t) {
-      ChannelState& cs = channels_[id];
-      // Model the matching unit's list walk for this arrival and account
-      // the entries it touched — the cost a single-lookup LUT never pays.
-      portals::MatchList& list = *match_lists_[cs.ch.dst];
-      const MatchCounters& counters = match_counters_[cs.ch.dst];
-      const std::uint64_t before = list.entries_traversed();
-      list.match(cs.ch.src, cs.ch.tag);
-      counters.traversed->inc(list.entries_traversed() - before);
-      counters.matched->inc();
-      ++cs.completed;
-      if (cs.remaining_posts > 0) {
-        endpoints_[cs.ch.dst]->post_buffer_timing_only(vaddr_of(id),
-                                                       cs.ch.bytes);
-        --cs.remaining_posts;
-      }
-      if (!cs.waiter.empty() && cs.completed > cs.consumed) {
-        ++cs.consumed;
-        cs.waiter.take()();
-      }
-    });
   }
-  cluster_.engine().schedule(0, std::move(ready));
-}
-
-void PortalsTransport::recv_post(motifs::ChannelId) {}
-
-void PortalsTransport::send(motifs::ChannelId id, std::function<void()> done) {
-  ChannelState& cs = channels_[id];
-  ++cs.sent;
-  endpoints_[cs.ch.src]->put(cs.ch.dst, vaddr_of(id), 0, nullptr, cs.ch.bytes,
-                             std::move(done));
+  motifs::RvmaTransport::setup(channels, std::move(ready));
 }
 
 void PortalsTransport::recv_wait(motifs::ChannelId id,
                                  std::function<void()> done) {
-  ChannelState& cs = channels_[id];
-  if (cs.completed > cs.consumed) {
-    ++cs.consumed;
-    cluster_.engine_for(cs.ch.dst).schedule(0, std::move(done));
-    return;
-  }
-  cs.waiter.park(std::move(done));
-}
-
-const motifs::TransportStats& PortalsTransport::stats() const {
-  stats_ = motifs::TransportStats{};
-  for (const ChannelState& cs : channels_) stats_.data_messages += cs.sent;
-  return stats_;
+  // The matching unit's list walk for the message this wait consumes,
+  // and the entries it touched — the cost a single-lookup LUT never pays.
+  // Entries are persistent and every message is consumed once, on the
+  // receiver's shard, so the totals equal one walk per arrival.
+  const motifs::Channel& ch = channel(id);
+  portals::MatchList& list = match_lists_[ch.dst];
+  const MatchCounters& counters = match_counters_[ch.dst];
+  const std::uint64_t before = list.entries_traversed();
+  list.match(ch.src, ch.tag);
+  counters.traversed->inc(list.entries_traversed() - before);
+  counters.matched->inc();
+  motifs::RvmaTransport::recv_wait(id, std::move(done));
 }
 
 // --------------------------------------------------------- registration
@@ -302,7 +180,8 @@ void register_builtin_transports(Registry<TransportEntry>& reg) {
           {"op-counted RVMA epochs: one operation completes a message",
            [](cluster::Cluster& cluster, const ScenarioSpec&) {
              return std::unique_ptr<motifs::Transport>(
-                 std::make_unique<RmaTransport>(cluster, core::RvmaParams{}));
+                 std::make_unique<motifs::RvmaTransport>(
+                     cluster, core::RvmaParams{}, core::EpochType::kOps));
            }});
   reg.add("portals",
           {"RVMA wire with Portals-style match-list receive resolution",

@@ -1,13 +1,14 @@
 // Scenario transport adapters beyond the rvma/rdma motif transports:
-// sockets (receiver-managed stream middleware), rma (op-counted epochs),
-// and portals (list matching on the receive path). Each implements the
-// motifs::Transport interface so any registered motif runs over any
-// registered backend.
+// sockets (receiver-managed stream middleware) and portals (list matching
+// on the receive path). Each implements the motifs::Transport interface
+// so any registered motif runs over any registered backend; "rma" is
+// motifs::RvmaTransport with op-counted epochs.
 #pragma once
 
 #include <memory>
 
 #include "core/endpoint.hpp"
+#include "motifs/rvma_transport.hpp"
 #include "motifs/transport.hpp"
 #include "cluster/cluster.hpp"
 #include "portals/match_list.hpp"
@@ -61,93 +62,33 @@ class SocketsTransport final : public motifs::Transport {
   mutable motifs::TransportStats stats_;  ///< scratch for stats()
 };
 
-/// Op-counted mailboxes (paper §IV-E flavor): each channel's window uses
-/// an operations threshold of one, so a message completes when its put
-/// has fully arrived regardless of length — the RMA epoch primitive the
-/// fence machinery in src/rma builds on, here exposed as a transport.
-class RmaTransport final : public motifs::Transport {
- public:
-  RmaTransport(cluster::Cluster& cluster, const core::RvmaParams& params,
-               int bucket_depth = 16);
-
-  std::string name() const override { return "rma"; }
-  void setup(const std::vector<motifs::Channel>& channels,
-             std::function<void()> ready) override;
-  void recv_post(motifs::ChannelId ch) override;
-  void send(motifs::ChannelId ch, std::function<void()> done) override;
-  void recv_wait(motifs::ChannelId ch, std::function<void()> done) override;
-  const motifs::TransportStats& stats() const override;
-
- private:
-  struct ChannelState {
-    motifs::Channel ch;
-    int remaining_posts = 0;
-    std::uint64_t sent = 0;  ///< written only on src's shard thread
-    std::uint64_t completed = 0;
-    std::uint64_t consumed = 0;
-    motifs::WaiterSlot waiter;
-  };
-
-  static std::uint64_t vaddr_of(motifs::ChannelId id) {
-    return 0x33AA0000 + id;  // rma mailbox namespace
-  }
-
-  cluster::Cluster& cluster_;
-  int bucket_depth_;
-  std::vector<std::unique_ptr<core::RvmaEndpoint>> endpoints_;
-  std::vector<ChannelState> channels_;  ///< indexed by ChannelId
-  mutable motifs::TransportStats stats_;  ///< scratch for stats()
-};
-
 /// RVMA wire with Portals-style receive-side resolution: every channel's
-/// posted receive is a match-list entry, and each completed message walks
-/// the node's posted-order list (paper §II / §IV-A). The walk changes no
-/// timing here — it quantifies the matching work RVMA's single-lookup
-/// LUT avoids, surfaced via the portals.match_* registry counters.
-class PortalsTransport final : public motifs::Transport {
+/// posted receive is a persistent match-list entry, and each consumed
+/// message walks its node's posted-order list (paper §II / §IV-A). The
+/// walk changes no timing here — it quantifies the matching work RVMA's
+/// single-lookup LUT avoids, surfaced via the portals.* registry counters.
+class PortalsTransport final : public motifs::RvmaTransport {
  public:
-  PortalsTransport(cluster::Cluster& cluster, const core::RvmaParams& params,
-                   int bucket_depth = 16);
+  PortalsTransport(cluster::Cluster& cluster, const core::RvmaParams& params);
 
   std::string name() const override { return "portals"; }
   void setup(const std::vector<motifs::Channel>& channels,
              std::function<void()> ready) override;
-  void recv_post(motifs::ChannelId ch) override;
-  void send(motifs::ChannelId ch, std::function<void()> done) override;
   void recv_wait(motifs::ChannelId ch, std::function<void()> done) override;
-  const motifs::TransportStats& stats() const override;
 
   const portals::MatchList& match_list(int node) const {
-    return *match_lists_[node];
+    return match_lists_[node];
   }
 
  private:
-  struct ChannelState {
-    motifs::Channel ch;
-    int remaining_posts = 0;
-    std::uint64_t sent = 0;  ///< written only on src's shard thread
-    std::uint64_t completed = 0;
-    std::uint64_t consumed = 0;
-    motifs::WaiterSlot waiter;
-  };
-
   /// A node's portals.* registry counters, in its own shard's registry.
   struct MatchCounters {
     obs::Counter* traversed = nullptr;
     obs::Counter* matched = nullptr;
   };
 
-  static std::uint64_t vaddr_of(motifs::ChannelId id) {
-    return 0x44BB0000 + id;  // portals mailbox namespace
-  }
-
-  cluster::Cluster& cluster_;
-  int bucket_depth_;
-  std::vector<std::unique_ptr<core::RvmaEndpoint>> endpoints_;
-  std::vector<std::unique_ptr<portals::MatchList>> match_lists_;
-  std::vector<MatchCounters> match_counters_;  ///< per node
-  std::vector<ChannelState> channels_;  ///< indexed by ChannelId
-  mutable motifs::TransportStats stats_;  ///< scratch for stats()
+  std::vector<portals::MatchList> match_lists_;  ///< per node
+  std::vector<MatchCounters> match_counters_;    ///< per node
 };
 
 }  // namespace rvma::scenario

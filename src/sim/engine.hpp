@@ -38,12 +38,9 @@
 
 #include <cassert>
 #include <cstdint>
-#include <initializer_list>
 #include <memory>
-#include <string_view>
 #include <vector>
 
-#include "common/trace.hpp"
 #include "common/units.hpp"
 #include "obs/flight_recorder.hpp"
 #include "sim/callback.hpp"
@@ -65,39 +62,6 @@ class Engine {
   /// Current simulated time.
   Time now() const { return now_; }
 
-  /// Trace sink for everything simulated on this engine. Defaults to the
-  /// process-wide Tracer::global() so single-run binaries keep the
-  /// RVMA_TRACE behavior; concurrent runs (SweepExecutor jobs) give each
-  /// engine its own sink — or nullptr to disable — so no unsynchronized
-  /// shared state remains on the event hot path.
-  Tracer* tracer() const { return tracer_; }
-
-  /// Set the trace sink, stamping `eng_id` into every record's "eng"
-  /// field so analyses can separate engines sharing one sink (a serial
-  /// sweep writing through the global tracer). Grid runners pass the run
-  /// index; the default 0 keeps single-run traces deterministic.
-  void set_tracer(Tracer* tracer, std::int64_t eng_id = 0) {
-    tracer_ = tracer;
-    eng_id_ = eng_id;
-  }
-  std::int64_t eng_id() const { return eng_id_; }
-
-  /// True when trace records would actually be written. Hot paths guard
-  /// with this (via RVMA_ETRACE) *before* building the field array, so a
-  /// disabled tracer costs one predictable branch — the initializer list
-  /// and every field expression are never evaluated.
-  bool tracing_enabled() const {
-    return tracer_ != nullptr && tracer_->enabled();
-  }
-
-  /// Record a trace event at now() into this engine's sink, if enabled.
-  void trace(std::string_view event,
-             std::initializer_list<Tracer::Field> fields) {
-    if (tracing_enabled()) {
-      tracer_->record(now_, event, eng_id_, fields);
-    }
-  }
-
   /// Attach a metrics sampler (obs/sampler.hpp). The engine consults it
   /// before executing the first event at or past each period boundary —
   /// the engine is quiescent between events, so the boundary state is
@@ -108,10 +72,10 @@ class Engine {
 
   /// Attach a flight recorder (obs/flight_recorder.hpp): a per-engine
   /// ring of POD span records capturing each message's lifecycle
-  /// instants. Unlike the tracer, the recorder is purely passive — it
-  /// never schedules events, and NO simulation code may branch on
-  /// recording_enabled() — so arming it is bit-identity-preserving: tables
-  /// and metrics are byte-identical on vs off.
+  /// instants. The recorder is purely passive — it never schedules
+  /// events, and NO simulation code may branch on recording_enabled() —
+  /// so arming it is bit-identity-preserving: tables and metrics are
+  /// byte-identical on vs off.
   /// Pass nullptr to detach. Each shard of a sharded cluster attaches
   /// its own recorder, keeping record() single-threaded per ring.
   void set_flight_recorder(obs::FlightRecorder* rec) { frec_ = rec; }
@@ -309,8 +273,6 @@ class Engine {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   bool stopped_ = false;
-  Tracer* tracer_ = &Tracer::global();
-  std::int64_t eng_id_ = 0;
   obs::Sampler* sampler_ = nullptr;
   obs::FlightRecorder* frec_ = nullptr;
   /// Next sampling boundary; kTimeInfinity keeps the step() hook to one
@@ -320,19 +282,11 @@ class Engine {
 
 }  // namespace rvma::sim
 
-/// Zero-cost trace guard: expands to a branch on Engine::tracing_enabled()
-/// *around* the trace call, so when tracing is off the brace-initialized
-/// field list — and every argument expression inside it — is never built.
-/// Variadic so the field list's top-level commas pass through intact.
-#define RVMA_ETRACE(eng, ...)                              \
-  do {                                                     \
-    if ((eng).tracing_enabled()) (eng).trace(__VA_ARGS__); \
-  } while (0)
-
-/// Flight-recorder guard, same shape as RVMA_ETRACE: argument expressions
-/// are only evaluated when a recorder is attached. The recorder must stay
-/// write-only with respect to the simulation — never branch simulation
-/// behavior on recording_enabled().
+/// Flight-recorder guard: expands to a branch on
+/// Engine::recording_enabled() *around* the record call, so argument
+/// expressions are only evaluated when a recorder is attached. The
+/// recorder must stay write-only with respect to the simulation — never
+/// branch simulation behavior on recording_enabled().
 #define RVMA_FREC(eng, ...)                                  \
   do {                                                       \
     if ((eng).recording_enabled()) (eng).frecord(__VA_ARGS__); \

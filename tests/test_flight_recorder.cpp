@@ -1,7 +1,8 @@
 // Flight-recorder contracts: ring wraparound, binary round-trip, the
 // zero-perturbation guarantee (recorder on vs off produces identical
 // results and metrics, serial and sharded), the Perfetto export golden,
-// the PDES runtime profile, and the shard-safe armed tracer.
+// the PDES runtime profile, drop spans for refused puts, and the JSONL
+// export's independence from the shard count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,12 +13,13 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
-#include "common/trace.hpp"
+#include "core/endpoint.hpp"
 #include "motifs/halo3d.hpp"
 #include "motifs/runner.hpp"
 #include "motifs/rvma_transport.hpp"
 #include "obs/flight_analysis.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics_io.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
@@ -124,14 +126,31 @@ TEST(FlightRecorder, BinaryRoundTrip) {
 
 TEST(FlightRecorder, ReadRejectsBadMagic) {
   const std::string path = ::testing::TempDir() + "flight_bad.rvfr";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "NOTAFLIGHTRECORDERFILE";
+  // A valid 40-byte header whose one shard section claims 2^60 records:
+  // the reader must reject it before allocating for them.
+  std::string huge_count("RVFR1\0\0\0", 8);
+  auto append = [&huge_count](auto v) {
+    huge_count.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  append(std::uint32_t{1});                // version
+  append(std::uint32_t{1});                // shard count
+  append(std::uint32_t{0});                // shard id
+  append(std::uint32_t{0});                // reserved
+  append(std::uint64_t{0});                // dropped
+  append(std::uint64_t{1} << 60);          // record count
+  ASSERT_EQ(huge_count.size(), 40u);
+  for (const std::string& bytes :
+       {std::string("NOTAFLIGHTRECORDERFILE"), huge_count}) {
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << bytes;
+    }
+    obs::FlightDump dump;
+    std::string error;
+    EXPECT_FALSE(obs::read_flight_file(path, &dump, &error));
+    EXPECT_NE(error.find("bad or truncated dump"), std::string::npos) << error;
+    EXPECT_TRUE(dump.shards.empty());
   }
-  obs::FlightDump dump;
-  std::string error;
-  EXPECT_FALSE(obs::read_flight_file(path, &dump, &error));
-  EXPECT_FALSE(error.empty());
   std::remove(path.c_str());
 }
 
@@ -344,105 +363,170 @@ TEST(PdesProfile, ShardedRunExposesPerShardInstruments) {
   EXPECT_TRUE(prof.histograms.contains("pdes.shard0.drain_depth"));
 }
 
-// ----------------------------------------------- shard-safe armed tracer
+// ------------------------------------------------------------ drop spans
 
-std::vector<std::string> sorted_lines(const std::string& text) {
-  std::istringstream in(text);
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
-  std::sort(lines.begin(), lines.end());
-  return lines;
+net::NetworkConfig star2() {
+  net::NetworkConfig cfg;
+  cfg.topology = net::TopologyKind::kStar;
+  cfg.nodes_hint = 2;
+  return cfg;
 }
 
-TEST(ShardTracer, ShardedRunTracesWithoutClampingToSerial) {
-  const std::string dir = ::testing::TempDir();
-  const std::string serial_path = dir + "trace_serial.jsonl";
-  const std::string sharded_path = dir + "trace_sharded.jsonl";
-  const std::string sharded2_path = dir + "trace_sharded2.jsonl";
-  const std::string profile_path = dir + "trace_sharded_pdes.json";
+std::uint64_t drop_counter_total(const obs::MetricsSnapshot& m) {
+  std::uint64_t total = 0;
+  for (const auto& [name, value] : m.counters) {
+    if (name.starts_with("rvma.drops_")) total += value;
+  }
+  return total;
+}
+
+TEST(DropSpans, EachRefusedPutRecordsOneDropWithItsReason) {
+  for (const bool nacks : {true, false}) {
+    SCOPED_TRACE(nacks ? "NACKs enabled" : "NACKs disabled");
+    core::RvmaParams params;
+    params.nacks_enabled = nacks;
+    // No on-NIC counters, and a long host-counter round trip: a put that
+    // passes the LUT check can find its buffer retired when it lands.
+    params.nic_counters = 0;
+    params.host_counter_penalty = 10 * kMicrosecond;
+    cluster::Cluster cluster(star2(), nic::NicParams{});
+    cluster.arm_flight_recorder(1024);
+    core::RvmaEndpoint sender(cluster.nic(0), params);
+    core::RvmaEndpoint receiver(cluster.nic(1), params);
+
+    receiver.init_window(0xC1, 64, core::EpochType::kBytes);
+    ASSERT_EQ(receiver.close_window(0xC1), Status::kOk);
+    receiver.init_window(0xE0, 64, core::EpochType::kBytes);
+    receiver.init_window(0xB0, 64, core::EpochType::kBytes);
+    ASSERT_EQ(receiver.post_buffer_timing_only(0xB0, 64), Status::kOk);
+
+    // Node 0's message ids are (0 << 40) | 1, 2, ... in send order.
+    sender.put(1, 0xDEAD, 0, nullptr, 64);  // 1: no such mailbox
+    sender.put(1, 0xC1, 0, nullptr, 64);    // 2: closed window
+    sender.put(1, 0xE0, 0, nullptr, 64);    // 3: no posted buffer
+    sender.put(1, 0xB0, 0, nullptr, 64);    // 4: fills 0xB0's only buffer
+    sender.put(1, 0xB0, 0, nullptr, 64);    // 5: host-counter-penalty drop
+    cluster.engine().run();
+
+    const std::pair<std::uint64_t, Status> expected[] = {
+        {1, Status::kNoMailbox},
+        {2, Status::kClosed},
+        {3, Status::kNoBuffer},
+        {5, Status::kNoBuffer},
+    };
+    std::vector<obs::SpanRecord> drops;
+    for (const obs::SpanRecord& r :
+         cluster.flight_recorder_for_shard(0)->snapshot()) {
+      if (r.kind == static_cast<std::uint32_t>(obs::SpanKind::kDrop)) {
+        drops.push_back(r);
+      }
+    }
+    ASSERT_EQ(drops.size(), std::size(expected));
+    for (std::size_t i = 0; i < drops.size(); ++i) {
+      EXPECT_EQ(drops[i].key, expected[i].first) << i;
+      EXPECT_EQ(drops[i].aux, static_cast<std::int64_t>(expected[i].second))
+          << i;
+      EXPECT_EQ(drops[i].node, 1) << i;
+    }
+    EXPECT_EQ(receiver.completions(0xB0), 1u);
+    // One drop span per drop counted, NACKed or not; the penalty-path
+    // drop is the one that sends no NACK.
+    EXPECT_EQ(drop_counter_total(cluster.collect_metrics()), drops.size());
+    EXPECT_EQ(receiver.stats().nacks_sent, nacks ? 3u : 0u);
+
+    const std::string dump_path = ::testing::TempDir() + "flight_drops.rvfr";
+    std::string error;
+    ASSERT_TRUE(cluster.write_flight_dump(dump_path, &error)) << error;
+    obs::FlightDump dump;
+    ASSERT_TRUE(obs::read_flight_file(dump_path, &dump, &error)) << error;
+    std::remove(dump_path.c_str());
+    const std::string jsonl = obs::flight_jsonl(dump);
+    for (const auto& [key, reason] : expected) {
+      const std::string line_tail =
+          "\"ev\":\"drop\",\"node\":1,\"key\":" + std::to_string(key) +
+          ",\"aux\":" + std::to_string(static_cast<int>(reason)) +
+          ",\"reason\":\"" + std::string(to_string(reason)) + "\"}\n";
+      EXPECT_NE(jsonl.find(line_tail), std::string::npos) << line_tail;
+    }
+  }
+}
+
+// ------------------------------------------------------- JSONL export
+
+/// Ring capacity per shard for the export test: the 512-rank halo
+/// records at most 86,016 spans (rdma, serial), and no ring may wrap.
+constexpr std::size_t kHaloCapacity = std::size_t{1} << 17;
+
+/// `rvma_trace jsonl` of test_pdes' 512-rank torus halo (8^3 cells and 4
+/// variables a rank, 2 iterations) over `transport` at `shards`.
+std::string halo512_jsonl(const std::string& transport, int shards) {
+  ScenarioSpec spec;
+  spec.topology = "torus3d";
+  spec.routing = "static";
+  spec.nodes = 512;
+  spec.transport = transport;
+  spec.motif = "halo3d";
+  spec.motif_params = {{"nx", "8"},   {"ny", "8"},         {"nz", "8"},
+                       {"vars", "4"}, {"iterations", "2"}};
+  spec.seed = 7;
+  spec.par_shards = shards;
+  spec.flight_recorder_path = ::testing::TempDir() + "flight_halo512.rvfr";
+  spec.flight_recorder_capacity = kHaloCapacity;
+  ScenarioResult result;
   std::string error;
+  EXPECT_TRUE(run_scenario(spec, &result, &error)) << error;
+  obs::FlightDump dump;
+  EXPECT_TRUE(obs::read_flight_file(spec.flight_recorder_path, &dump, &error))
+      << error;
+  std::remove(spec.flight_recorder_path.c_str());
+  EXPECT_EQ(dump.shards.size(), static_cast<std::size_t>(shards));
+  for (const obs::FlightShard& s : dump.shards) EXPECT_EQ(s.dropped, 0u);
+  return obs::flight_jsonl(dump);
+}
 
-  auto traced_run = [&](int shards, const std::string& path,
-                        const std::string& profile, ScenarioResult* out) {
-    ScenarioSpec spec = mini_spec();
-    spec.par_shards = shards;
-    spec.pdes_profile_path = profile;
-    Tracer sink;
-    ASSERT_TRUE(sink.open(path));
-    ASSERT_TRUE(run_scenario(spec, out, &error, &sink, /*eng_id=*/3)) << error;
-    EXPECT_GT(out->trace_events, 0u);
-    sink.close();
-  };
-
-  ScenarioResult serial, sharded, sharded2;
-  traced_run(1, serial_path, "", &serial);
-  traced_run(2, sharded_path, profile_path, &sharded);
-  traced_run(2, sharded2_path, "", &sharded2);
-
-  // The armed tracer no longer forces serial execution: the sharded run's
-  // PDES profile shows two shards stepping through real windows, while
-  // every simulated observable stayed identical.
-  obs::MetricsDoc profile;
-  ASSERT_TRUE(obs::read_metrics_file(profile_path, &profile, &error)) << error;
-  EXPECT_EQ(profile.totals.counters.at("pdes.shards"), 2u);
-  EXPECT_GT(profile.totals.counters.at("pdes.windows"), 0u);
-  for (const char* key :
-       {"pdes.shard0.utilization_pct", "pdes.shard1.utilization_pct"}) {
-    EXPECT_TRUE(profile.totals.gauges.contains(key)) << key;
-  }
-  EXPECT_EQ(serial.makespan, sharded.makespan);
-  EXPECT_EQ(serial.packets_delivered, sharded.packets_delivered);
-  // engine.* counters may include the windowed loop's bookkeeping events
-  // (DESIGN.md §12); everything the simulation itself recorded must match
-  // (test_pdes's Observed contract).
-  auto sim_metrics = [](const ScenarioResult& r) {
-    obs::MetricsSnapshot m = r.metrics;
-    std::erase_if(m.counters,
-                  [](const auto& kv) { return kv.first.starts_with("engine."); });
-    std::erase_if(m.gauges,
-                  [](const auto& kv) { return kv.first.starts_with("engine."); });
-    return m;
-  };
-  EXPECT_EQ(sim_metrics(serial), sim_metrics(sharded));
-
-  // Same trace events in both modes (the merge only fixes the order), and
-  // the sharded merge is byte-deterministic across reruns.
-  EXPECT_EQ(serial.trace_events, sharded.trace_events);
-  EXPECT_EQ(sorted_lines(read_file(serial_path)),
-            sorted_lines(read_file(sharded_path)));
-  EXPECT_EQ(read_file(sharded_path), read_file(sharded2_path));
-
-  // Merged output is time-sorted: "t":<ps> never decreases line to line.
-  std::istringstream in(read_file(sharded_path));
-  Time prev = 0;
-  for (std::string line; std::getline(in, line);) {
-    Time t = 0;
-    ASSERT_EQ(std::sscanf(line.c_str(), "{\"t\":%llu",
-                          reinterpret_cast<unsigned long long*>(&t)),
-              1)
-        << line;
-    EXPECT_GE(t, prev) << line;
-    prev = t;
-  }
-
-  for (const std::string& p :
-       {serial_path, sharded_path, sharded2_path, profile_path}) {
-    std::remove(p.c_str());
+/// The first line where `a` and `b` differ, for a readable failure.
+std::string first_difference(const std::string& a, const std::string& b) {
+  std::istringstream in_a(a), in_b(b);
+  std::string la, lb;
+  for (int line = 1;; ++line) {
+    const bool more_a = static_cast<bool>(std::getline(in_a, la));
+    const bool more_b = static_cast<bool>(std::getline(in_b, lb));
+    if (!more_a && !more_b) return "";
+    if (!more_a || !more_b || la != lb) {
+      return "line " + std::to_string(line) + ": \"" + la + "\" vs \"" + lb +
+             "\"";
+    }
   }
 }
 
-TEST(ShardTracer, BufferModeCollectsJsonl) {
-  Tracer tracer;
-  tracer.open_buffer();
-  EXPECT_TRUE(tracer.enabled());
-  tracer.record(100, "evt", 2, {{"a", 1}});
-  tracer.record(200, "evt", 2, {});
-  EXPECT_EQ(tracer.events_written(), 2u);
-  EXPECT_EQ(tracer.buffer(),
-            "{\"t\":100,\"ev\":\"evt\",\"eng\":2,\"a\":1}\n"
-            "{\"t\":200,\"ev\":\"evt\",\"eng\":2}\n");
-  tracer.close();
-  EXPECT_FALSE(tracer.enabled());
+TEST(FlightJsonl, ExportIsIdenticalAtAnyShardCount) {
+  for (const char* transport : {"rvma", "rdma", "sockets", "rma", "portals"}) {
+    SCOPED_TRACE(transport);
+    const std::string serial = halo512_jsonl(transport, 1);
+    const std::string sharded = halo512_jsonl(transport, 4);
+    ASSERT_FALSE(serial.empty());
+    EXPECT_TRUE(sharded == serial) << first_difference(serial, sharded);
+    const std::string rerun = halo512_jsonl(transport, 4);
+    EXPECT_TRUE(rerun == sharded) << first_difference(sharded, rerun);
+
+    // Every line is one JSON object; times never decrease.
+    std::istringstream in(serial);
+    Time prev = 0;
+    std::size_t lines = 0;
+    for (std::string line; std::getline(in, line); ++lines) {
+      obs::JsonValue v;
+      std::string error;
+      ASSERT_TRUE(obs::json_parse(line, &v, &error)) << error << ": " << line;
+      ASSERT_TRUE(v.is_object()) << line;
+      for (const char* field : {"t", "ev", "node", "key", "aux"}) {
+        ASSERT_NE(v.find(field), nullptr) << field << ": " << line;
+      }
+      const Time t = v.find("t")->as_u64();
+      EXPECT_GE(t, prev) << line;
+      prev = t;
+    }
+    EXPECT_GT(lines, 0u);
+  }
 }
 
 }  // namespace

@@ -1,12 +1,9 @@
 // Observability subsystem tests: histogram bucket math, merge
 // associativity, percentile monotonicity, registry behavior, the
 // engine-driven simulated-time sampler, metrics-document JSON round-trip,
-// diff/check analysis, empty-stat table formatting, and per-engine trace
-// grouping.
+// diff/check analysis, and empty-stat table formatting.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -15,7 +12,6 @@
 #include "obs/metrics.hpp"
 #include "obs/metrics_io.hpp"
 #include "obs/sampler.hpp"
-#include "obs/trace_analysis.hpp"
 #include "sim/engine.hpp"
 
 namespace rvma {
@@ -268,41 +264,6 @@ TEST(Table, StatNumRendersDashForEmptyStats) {
   EXPECT_EQ(Table::stat_num(0, 123.0), "-");
   EXPECT_EQ(Table::stat_num(0, 0.0), "-");
   EXPECT_EQ(Table::stat_num(3, 2.5), Table::num(2.5, 2));
-}
-
-TEST(TraceAnalysis, GroupsRecordsByEngineField) {
-  const std::string path = ::testing::TempDir() + "obs_trace.jsonl";
-  {
-    std::ofstream out(path);
-    // eng 0 explicit, eng 1 explicit, and a legacy record with no eng
-    // field (folded into engine 0), plus one unparseable line.
-    out << R"({"t":100,"ev":"pkt_deliver","eng":0,"lat_ps":2000000,"dst":3,"hops":2})"
-        << "\n";
-    out << R"({"t":200,"ev":"pkt_deliver","eng":1,"lat_ps":3000000,"dst":4,"hops":3})"
-        << "\n";
-    out << R"({"t":300,"ev":"rvma_drop","eng":1,"reason":"kNoBuffer"})" << "\n";
-    out << R"({"t":400,"ev":"rvma_nack","reason":5})" << "\n";
-    out << "not json\n";
-  }
-
-  obs::TraceAnalysis analysis;
-  std::string error;
-  ASSERT_TRUE(obs::analyze_trace_file(path, &analysis, &error)) << error;
-  std::remove(path.c_str());
-
-  EXPECT_EQ(analysis.lines, 5u);
-  EXPECT_EQ(analysis.skipped, 1u);
-  ASSERT_EQ(analysis.engines.size(), 2u);
-  const obs::EngineTraceStats& e0 = analysis.engines.at(0);
-  const obs::EngineTraceStats& e1 = analysis.engines.at(1);
-  // Per-engine separation is the double-counting fix: each engine's
-  // deliveries counted once, never summed across runs.
-  EXPECT_EQ(e0.event_counts.at("pkt_deliver"), 1u);
-  EXPECT_EQ(e1.event_counts.at("pkt_deliver"), 1u);
-  EXPECT_EQ(e0.drops_per_reason.at("code 5"), 1u);  // legacy numeric reason
-  EXPECT_EQ(e1.drops_per_reason.at("kNoBuffer"), 1u);
-  EXPECT_EQ(e0.pkt_latency_us.count(), 1u);
-  EXPECT_EQ(analysis.span(), static_cast<Time>(400));
 }
 
 }  // namespace

@@ -265,7 +265,8 @@ void expect_512_windowed_matches_serial(MakeTransport make) {
 
 TEST(PdesExactness, RmaWindowedMatchesSerial) {
   expect_512_windowed_matches_serial([](cluster::Cluster& c) {
-    return std::make_unique<scenario::RmaTransport>(c, core::RvmaParams{});
+    return std::make_unique<RvmaTransport>(c, core::RvmaParams{},
+                                           core::EpochType::kOps);
   });
 }
 

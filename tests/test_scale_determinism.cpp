@@ -3,13 +3,9 @@
 // and the transports' control-message accounting matches their protocols.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 
 #include "cluster/cluster.hpp"
-#include "common/trace.hpp"
 #include "motifs/halo3d.hpp"
 #include "motifs/rdma_transport.hpp"
 #include "motifs/runner.hpp"
@@ -158,36 +154,6 @@ TEST(ControlTraffic, StaticRdmaHasNoCompletionSends) {
   // Adaptive needs one extra completion send per data message.
   const std::uint64_t data_msgs = 4u /*ranks*/ * 2 /*neighbors*/ * 2 /*iters*/;
   EXPECT_EQ(adaptive_msgs, static_msgs + data_msgs);
-}
-
-TEST(TraceTool, AnalyzesGeneratedTrace) {
-  const std::string trace_path = ::testing::TempDir() + "tool_trace.jsonl";
-  ASSERT_TRUE(Tracer::global().open(trace_path));
-  {
-    cluster::Cluster cluster(dragonfly342(net::Routing::kAdaptive),
-                         nic::NicParams{});
-    RvmaTransport transport(cluster, core::RvmaParams{});
-    Halo3DConfig cfg;
-    cfg.px = cfg.py = cfg.pz = 2;
-    cfg.iterations = 1;
-    cfg.nx = cfg.ny = cfg.nz = 8;
-    MotifRunner(cluster, transport, build_halo3d(cfg)).run();
-  }
-  Tracer::global().close();
-
-  // Run the offline analyzer (`rvma_metrics trace`) and check its report.
-  const std::string out_path = ::testing::TempDir() + "tool_out.txt";
-  const std::string cmd = std::string(RVMA_METRICS_BIN) + " trace " +
-                          trace_path + " > " + out_path;
-  ASSERT_EQ(std::system(cmd.c_str()), 0);
-  std::ifstream in(out_path);
-  std::string report((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-  EXPECT_NE(report.find("pkt_deliver"), std::string::npos);
-  EXPECT_NE(report.find("rvma_complete"), std::string::npos);
-  EXPECT_NE(report.find("packet network latency"), std::string::npos);
-  std::remove(trace_path.c_str());
-  std::remove(out_path.c_str());
 }
 
 }  // namespace

@@ -1,14 +1,11 @@
 // Parallel-sweep determinism: the whole point of the SweepExecutor is
 // that running the figure grids with jobs=N produces bit-identical
 // results to jobs=1. These tests pin that contract on a mini Figure-8
-// style grid (expressed as a scenario GridSpec), on the per-run trace
-// sinks, and on the seed derivation.
+// style grid (expressed as a scenario GridSpec) and on the seed
+// derivation.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -38,13 +35,6 @@ GridSpec mini_grid() {
   return grid;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
 TEST(SweepDeterminism, ParallelGridMatchesSerial) {
   const GridSpec grid = mini_grid();
 
@@ -61,37 +51,6 @@ TEST(SweepDeterminism, ParallelGridMatchesSerial) {
     EXPECT_GT(serial[i].rvma.makespan, 0) << "cell " << i;
     EXPECT_GT(serial[i].rdma.packets_delivered, 0u) << "cell " << i;
   }
-}
-
-TEST(SweepDeterminism, PerRunTraceSinksAreReproducible) {
-  const GridSpec grid = mini_grid();
-  const std::string path_a = ::testing::TempDir() + "sweep_det_a.jsonl";
-  const std::string path_b = ::testing::TempDir() + "sweep_det_b.jsonl";
-
-  // The same cell-half spec the grid's run 1 would execute.
-  TopoCase tc;
-  std::string error;
-  ASSERT_TRUE(resolve_topo_case("torus3d-static", &tc, &error)) << error;
-  const ScenarioSpec spec =
-      expand_cell(grid, tc, 0, 0, /*use_rvma=*/true);
-
-  Tracer sink_a, sink_b;
-  ASSERT_TRUE(sink_a.open(path_a));
-  ASSERT_TRUE(sink_b.open(path_b));
-  ScenarioResult a, b;
-  ASSERT_TRUE(run_scenario(spec, &a, &error, &sink_a)) << error;
-  ASSERT_TRUE(run_scenario(spec, &b, &error, &sink_b)) << error;
-  sink_a.close();
-  sink_b.close();
-
-  EXPECT_EQ(a, b);
-  EXPECT_GT(a.trace_events, 0u);  // RVMA completions are traced
-  EXPECT_EQ(a.trace_events, b.trace_events);
-  const std::string bytes_a = read_file(path_a);
-  EXPECT_FALSE(bytes_a.empty());
-  EXPECT_EQ(bytes_a, read_file(path_b));
-  std::remove(path_a.c_str());
-  std::remove(path_b.c_str());
 }
 
 TEST(SweepDeterminism, MetricsJsonIdenticalAcrossJobCounts) {

@@ -19,9 +19,11 @@
 #
 # The flight recorder (DESIGN.md §14) gets the same treatment: arming it
 # must leave the table and metrics byte-identical (serial and at
-# --par-shards=8), the recorder-armed chain bench must stay within 5% of
-# the plain run, and BENCH_engine.json must carry the pdes_profile block
-# (per-shard utilization + barrier wait/drain/completion for K=1/2/4/8).
+# --par-shards=8), every cell's `rvma_trace jsonl` export must be
+# byte-identical serial and at --par-shards=8, the recorder-armed chain
+# bench must stay within 5% of the plain run, and BENCH_engine.json must
+# carry the pdes_profile block (per-shard utilization + barrier
+# wait/drain/completion for K=1/2/4/8).
 #
 # The pdes_windows block gates the lookahead-matrix payoff: the matrix
 # must need >= 1.5x fewer barrier rounds than the scalar ablation on the
@@ -35,7 +37,7 @@ build_dir=${1:-"$repo_root/build-bench"}
 
 cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$build_dir" --target engine_throughput fig8_halo3d \
-  rvma_metrics rvma_run -j "$(nproc)"
+  rvma_metrics rvma_run rvma_trace -j "$(nproc)"
 
 # Capture the previously recorded fabric throughput before the bench
 # overwrites the file.
@@ -321,6 +323,29 @@ then
   exit 1
 fi
 echo "recorder: table and metrics byte-identical with the recorder armed"
+# The spans themselves: `rvma_trace jsonl` orders records by content, so
+# each cell's export must not depend on the shard count. A ring that
+# overwrote records (rvma_trace warns on stderr) would void the check.
+jsonl_runs=0
+for serial_dump in "$tmp_dir"/frec.rvfr.run*; do
+  run=${serial_dump##*.}
+  for dump in "$serial_dump" "$tmp_dir/frec_pdes.rvfr.$run"; do
+    "$build_dir/tools/rvma_trace" jsonl "$dump" > "$dump.jsonl" \
+      2> "$dump.jsonl.err"
+    if [ -s "$dump.jsonl.err" ]; then
+      cat "$dump.jsonl.err" >&2
+      echo "ERROR: rvma_trace jsonl warned on $dump" >&2
+      exit 1
+    fi
+  done
+  if ! cmp -s "$serial_dump.jsonl" "$tmp_dir/frec_pdes.rvfr.$run.jsonl"; then
+    echo "ERROR: rvma_trace jsonl of $run differs at --par-shards=8" >&2
+    exit 1
+  fi
+  jsonl_runs=$((jsonl_runs + 1))
+done
+echo "recorder: rvma_trace jsonl byte-identical at par-shards=1 and 8" \
+  "($jsonl_runs runs)"
 
 # --- Route-table ablation gate ------------------------------------------
 # Algebraic next-hop arithmetic is the default; replaying the same grid

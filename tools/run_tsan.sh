@@ -4,8 +4,8 @@
 #
 # Covers the parallel sweep machinery: the SweepExecutor pool itself,
 # the jobs=N vs jobs=1 grid determinism (which exercises concurrent
-# Cluster/Engine runs and per-run trace sinks), the fabric tests
-# (static next-hop cache), the NIC admission/drain path, the
+# Cluster/Engine runs), the fabric tests (static next-hop cache), the
+# NIC admission/drain path, the
 # scenario-layer tests (registry materialization plus the rvma_run grid
 # replay, which fans cells out over the executor), and the PDES tests (the ShardedEngine's
 # window barriers, cross-shard SPSC channels, and the windowed-vs-serial
@@ -13,7 +13,7 @@
 # the lookahead-matrix tests (per-destination windows, unreachable-pair
 # handling, and windowed-vs-serial identity at K in {2,3,5}),
 # and the flight-recorder tests (per-shard rings attached to windowed
-# engines plus the per-shard buffered-tracer merge in ScenarioRunner),
+# engines, recorded at K=1 and K=4 for the JSONL export check),
 # and the rvma.h API tests (API-motif contexts driven from shard threads:
 # per-rank endpoint state, cross-shard puts/gets, and the serial-vs-
 # sharded identity runs for remote_paging / kv_store / alltoall).

@@ -1,5 +1,5 @@
 // rvma_metrics: analysis CLI for the metrics documents every bench emits
-// via --metrics=<path> (schema rvma-metrics-v1), plus trace triage.
+// via --metrics=<path> (schema rvma-metrics-v1).
 //
 // Subcommands:
 //   summarize <file>                 counters, gauges, histogram
@@ -11,14 +11,14 @@
 //   check <file> [name...]           validate schema + required
 //        [--need-histogram]          instruments; exit code = number of
 //        [--need-timeseries]         failed checks (CI gate)
-//   trace <trace.jsonl>              per-engine trace analysis
+//
+// Per-span traces are flight-recorder dumps; tools/rvma_trace reads them.
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "obs/metrics_io.hpp"
-#include "obs/trace_analysis.hpp"
 
 namespace {
 
@@ -30,8 +30,7 @@ int usage() {
                "  summarize <file>\n"
                "  diff <a> <b> [--rel-tol=X]\n"
                "  check <file> [name...] [--need-histogram] "
-               "[--need-timeseries]\n"
-               "  trace <trace.jsonl>\n");
+               "[--need-timeseries]\n");
   return 2;
 }
 
@@ -105,18 +104,6 @@ int cmd_check(const std::vector<std::string>& args) {
   return failures;
 }
 
-int cmd_trace(const std::vector<std::string>& args) {
-  if (args.size() != 1) return usage();
-  obs::TraceAnalysis analysis;
-  std::string error;
-  if (!obs::analyze_trace_file(args[0], &analysis, &error)) {
-    std::fprintf(stderr, "rvma_metrics: %s\n", error.c_str());
-    return 2;
-  }
-  obs::print_trace_analysis(analysis, args[0], stdout);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -126,7 +113,6 @@ int main(int argc, char** argv) {
   if (cmd == "summarize") return cmd_summarize(args);
   if (cmd == "diff") return cmd_diff(args);
   if (cmd == "check") return cmd_check(args);
-  if (cmd == "trace") return cmd_trace(args);
   std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
   return usage();
 }

@@ -13,8 +13,8 @@
 //       fig7/fig8 benches use, so outputs are byte-identical.
 //
 // The document kind is dispatched on the "format" field; every run is
-// deterministic in its spec (same file + flags => same tables, metrics,
-// traces at any --jobs).
+// deterministic in its spec (same file + flags => same tables, metrics
+// and flight-recorder spans at any --jobs).
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -84,8 +84,7 @@ int run_single(const std::string& text, int argc, char** argv) {
 
   ScenarioResult result;
   RunTiming timing;
-  if (!run_scenario(spec, &result, &error, nullptr, 0,
-                    want_timing ? &timing : nullptr)) {
+  if (!run_scenario(spec, &result, &error, want_timing ? &timing : nullptr)) {
     std::fprintf(stderr, "rvma_run: %s\n", error.c_str());
     return 1;
   }

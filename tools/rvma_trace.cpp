@@ -10,12 +10,17 @@
 //       Chrome trace-event / Perfetto JSON: one process per shard, one
 //       thread track per node. Load at https://ui.perfetto.dev or
 //       chrome://tracing. Defaults to stdout.
+//   rvma_trace jsonl <dump.rvfr> [--out=spans.jsonl]
+//       One JSON object per span, {"t","ev","node","key","aux"} plus a
+//       "reason" string on drop lines, ordered by content — the same bytes
+//       for one simulation at any --par-shards. Warns on stderr when a
+//       ring overwrote records. Defaults to stdout.
 //
 // Dumps come from `rvma_run <scenario> --flight-recorder=<path>` (or the
 // fig7/fig8 benches with the same flag). Everything here is offline
 // analysis — the recorder itself never perturbs simulation output.
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "common/cli.hpp"
@@ -30,8 +35,29 @@ int usage() {
   std::fprintf(stderr,
                "usage: rvma_trace summarize <dump.rvfr>\n"
                "       rvma_trace critpath  <dump.rvfr>\n"
-               "       rvma_trace timeline  <dump.rvfr> [--out=trace.json]\n");
+               "       rvma_trace timeline  <dump.rvfr> [--out=trace.json]\n"
+               "       rvma_trace jsonl     <dump.rvfr> [--out=spans.jsonl]\n");
   return 2;
+}
+
+/// Print `text` to stdout, or write it to `out_path` and say so.
+int emit(const std::string& text, const std::string& out_path,
+         const char* what, std::uint64_t records) {
+  if (out_path.empty()) {
+    std::fwrite(text.data(), 1, text.size(), stdout);
+    return 0;
+  }
+  std::FILE* out = std::fopen(out_path.c_str(), "w");
+  if (out == nullptr) {
+    std::fprintf(stderr, "rvma_trace: cannot write %s\n", out_path.c_str());
+    return 1;
+  }
+  std::fwrite(text.data(), 1, text.size(), out);
+  std::fclose(out);
+  std::printf("%s written to %s (%zu bytes, %llu records)\n", what,
+              out_path.c_str(), text.size(),
+              static_cast<unsigned long long>(records));
+  return 0;
 }
 
 }  // namespace
@@ -65,22 +91,21 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (command == "timeline") {
-    const std::string json = obs::perfetto_json(dump);
-    if (out_path.empty()) {
-      std::fputs(json.c_str(), stdout);
-      return 0;
+    return emit(obs::perfetto_json(dump), out_path, "timeline",
+                dump.total_records());
+  }
+  if (command == "jsonl") {
+    std::uint64_t dropped = 0;
+    for (const obs::FlightShard& s : dump.shards) dropped += s.dropped;
+    if (dropped > 0) {
+      std::fprintf(stderr,
+                   "rvma_trace: warning: full rings overwrote %llu record(s); "
+                   "the export lacks the oldest spans (raise "
+                   "--flight-recorder-capacity)\n",
+                   static_cast<unsigned long long>(dropped));
     }
-    std::FILE* out = std::fopen(out_path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "rvma_trace: cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), out);
-    std::fclose(out);
-    std::printf("timeline written to %s (%zu bytes, %llu records)\n",
-                out_path.c_str(), json.size(),
-                static_cast<unsigned long long>(dump.total_records()));
-    return 0;
+    return emit(obs::flight_jsonl(dump), out_path, "jsonl",
+                dump.total_records());
   }
   return usage();
 }
