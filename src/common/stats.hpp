@@ -112,31 +112,4 @@ class Samples {
   bool sorted_ = true;
 };
 
-/// Fixed-bucket log2 histogram for latency distributions.
-class Log2Histogram {
- public:
-  void add(std::uint64_t v) {
-    ++buckets_[bucket_of(v)];
-    ++total_;
-  }
-
-  static constexpr int kBuckets = 64;
-  std::uint64_t bucket_count(int b) const { return buckets_[b]; }
-  std::uint64_t total() const { return total_; }
-
-  /// Lower edge of bucket b (2^(b-1), with bucket 0 = value 0).
-  static std::uint64_t bucket_floor(int b) {
-    return b == 0 ? 0 : (1ULL << (b - 1));
-  }
-
-  static int bucket_of(std::uint64_t v) {
-    if (v == 0) return 0;
-    return 64 - __builtin_clzll(v);
-  }
-
- private:
-  std::uint64_t buckets_[kBuckets + 1] = {};
-  std::uint64_t total_ = 0;
-};
-
 }  // namespace rvma

@@ -1,7 +1,5 @@
 #include "motifs/halo3d.hpp"
 
-#include <algorithm>
-
 namespace rvma::motifs {
 
 std::vector<RankProgram> build_halo3d(const Halo3DConfig& config) {
@@ -34,28 +32,27 @@ std::vector<RankProgram> build_halo3d(const Halo3DConfig& config) {
         add(z > 0, rank - config.px * config.py, 4, config.face_bytes_z());
         add(z < config.pz - 1, rank + config.px * config.py, 5,
             config.face_bytes_z());
-        // Exact length: a post, a send and a wait per neighbor, then a
-        // compute, every iteration.
-        const auto iterations =
-            static_cast<std::size_t>(std::max(config.iterations, 0));
-        prog.reserve(iterations * (3 * neighbors.size() + 1));
+        // Exact stored length: one block, a header and an iteration's
+        // ops (a post, a send and a wait per neighbor, then a compute),
+        // repeated `iterations` times.
+        prog.reserve(3 * neighbors.size() + 2);
 
-        for (int iter = 0; iter < config.iterations; ++iter) {
-          for (const Neighbor& n : neighbors) {
-            prog.push_back({Op::Kind::kRecvPost, n.rank, n.tag, n.bytes, 0});
-          }
-          for (const Neighbor& n : neighbors) {
-            // Send tags mirror: my +x face (tag 1 send direction) is the
-            // neighbor's -x receive. Use the direction tag of the *flow*:
-            // channel tag = direction as seen by the receiver.
-            const std::uint64_t send_tag = n.tag ^ 1ULL;
-            prog.push_back({Op::Kind::kSend, n.rank, send_tag, n.bytes, 0});
-          }
-          for (const Neighbor& n : neighbors) {
-            prog.push_back({Op::Kind::kRecvWait, n.rank, n.tag, n.bytes, 0});
-          }
-          prog.push_back({Op::Kind::kCompute, -1, 0, 0, iter_compute});
+        prog.begin_loop(config.iterations);
+        for (const Neighbor& n : neighbors) {
+          prog.push_back({Op::Kind::kRecvPost, n.rank, n.tag, n.bytes, 0});
         }
+        for (const Neighbor& n : neighbors) {
+          // Send tags mirror: my +x face (tag 1 send direction) is the
+          // neighbor's -x receive. Use the direction tag of the *flow*:
+          // channel tag = direction as seen by the receiver.
+          const std::uint64_t send_tag = n.tag ^ 1ULL;
+          prog.push_back({Op::Kind::kSend, n.rank, send_tag, n.bytes, 0});
+        }
+        for (const Neighbor& n : neighbors) {
+          prog.push_back({Op::Kind::kRecvWait, n.rank, n.tag, n.bytes, 0});
+        }
+        prog.push_back({Op::Kind::kCompute, -1, 0, 0, iter_compute});
+        prog.end_loop();
       }
     }
   }

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <utility>
 
 namespace rvma::motifs {
@@ -13,10 +14,11 @@ MotifRunner::MotifRunner(cluster::Cluster& cluster, Transport& transport,
                          std::vector<RankProgram> programs)
     : cluster_(cluster),
       transport_(transport),
-      programs_(std::move(programs)),
-      pc_(programs_.size(), 0) {
+      programs_(std::move(programs)) {
   assert(static_cast<int>(programs_.size()) <= cluster.num_nodes() &&
          "more ranks than nodes");
+  pc_.reserve(programs_.size());
+  for (const RankProgram& program : programs_) pc_.push_back(program.begin());
 }
 
 namespace {
@@ -51,10 +53,20 @@ ChannelTable build_table(const std::vector<RankProgram>& programs) {
   for (int rank = 0; rank < static_cast<int>(programs.size()); ++rank) {
     const std::size_t rank_first = table.channels.size();
     table.first.push_back(static_cast<ChannelId>(rank_first));
+    // A stored send runs once per trip of its block, so it counts that
+    // many messages; the program is never expanded.
     sends.clear();
-    for (const Op& op : programs[rank]) {
-      if (op.kind == Op::Kind::kSend) {
-        sends.push_back({rank, op.peer, op.tag, op.bytes, 1});
+    const std::span<const Op> ops = programs[rank].stored();
+    std::size_t block_end = 0;
+    int trips = 1;
+    for (std::size_t pc = 0; pc < ops.size(); ++pc) {
+      const Op& op = ops[pc];
+      if (pc == block_end) trips = 1;
+      if (op.kind == Op::Kind::kLoop) {
+        block_end = pc + 1 + op.loop.body;
+        trips = static_cast<int>(op.loop.trips);
+      } else if (op.kind == Op::Kind::kSend) {
+        sends.push_back({rank, op.peer, op.tag, op.bytes, trips});
       }
     }
     std::sort(sends.begin(), sends.end(),
@@ -67,7 +79,7 @@ ChannelTable build_table(const std::vector<RankProgram>& programs) {
         if (last.dst == send.dst && last.tag == send.tag) {
           assert(last.bytes == send.bytes &&
                  "all messages on a channel must be the same size");
-          ++last.count;
+          last.count += send.count;
           continue;
         }
       }
@@ -90,8 +102,10 @@ std::vector<Channel> MotifRunner::number_channels(
   ChannelTable table = build_table(programs);
   const auto none = static_cast<ChannelId>(table.channels.size());
   for (int rank = 0; rank < static_cast<int>(programs.size()); ++rank) {
-    for (Op& op : programs[rank]) {
-      if (op.kind == Op::Kind::kCompute) continue;
+    for (Op& op : programs[rank].stored()) {
+      if (op.kind == Op::Kind::kCompute || op.kind == Op::Kind::kLoop) {
+        continue;
+      }
       const ChannelId id = op.kind == Op::Kind::kSend
                                ? table.find(rank, op.peer, op.tag)
                                : table.find(op.peer, rank, op.tag);
@@ -148,10 +162,10 @@ MotifResult MotifRunner::run() {
 }
 
 void MotifRunner::advance(int rank) {
-  RankProgram& prog = programs_[rank];
-  while (pc_[rank] < prog.size()) {
-    const Op& op = prog[pc_[rank]];
-    ++pc_[rank];
+  RankProgram::Cursor& pc = pc_[rank];
+  while (!pc.done()) {
+    const Op& op = *pc;
+    ++pc;
     ++rank_ops_[static_cast<std::size_t>(rank)];
     switch (op.kind) {
       case Op::Kind::kRecvPost:
@@ -170,6 +184,10 @@ void MotifRunner::advance(int rank) {
         cluster_.engine_for(rank).schedule(op.compute,
                                            [this, rank] { advance(rank); });
         return;
+
+      case Op::Kind::kLoop:
+        assert(false && "the cursor steps over block headers");
+        continue;
     }
   }
   finish_rank(rank);

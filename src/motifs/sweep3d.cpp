@@ -1,7 +1,5 @@
 #include "motifs/sweep3d.hpp"
 
-#include <algorithm>
-
 namespace rvma::motifs {
 
 std::vector<RankProgram> build_sweep3d(const Sweep3DConfig& config) {
@@ -23,14 +21,16 @@ std::vector<RankProgram> build_sweep3d(const Sweep3DConfig& config) {
     for (int i = 0; i < pex; ++i) {
       const int rank = j * pex + i;
       RankProgram& prog = programs[rank];
-      // Allocate the program once, at its exact length. An octant step is
-      // a compute, a post and a wait per upstream neighbor and a send per
-      // downstream one; over the eight octants each x (y) neighbor is
-      // upstream four times and downstream four times.
+      // Allocate the program once, at its exact stored length: each
+      // octant is one block, a header and one z-step's ops, repeated
+      // `steps` times. A step is a compute, a post and a wait per
+      // upstream neighbor and a send per downstream one; over the eight
+      // octants each x (y) neighbor is upstream four times and
+      // downstream four times.
       const int x_neighbors = (i > 0) + (i < pex - 1);
       const int y_neighbors = (j > 0) + (j < pey - 1);
-      prog.reserve(static_cast<std::size_t>(std::max(steps, 0)) *
-                   (8 + 12 * (x_neighbors + y_neighbors)));
+      prog.reserve(16 + 12 * static_cast<std::size_t>(x_neighbors +
+                                                       y_neighbors));
       for (int octant = 0; octant < 8; ++octant) {
         const int* dir = kDirs[octant % 4];
         const int sx = dir[0], sy = dir[1];
@@ -45,15 +45,15 @@ std::vector<RankProgram> build_sweep3d(const Sweep3DConfig& config) {
                                   : (j > 0 ? rank - pex : -1);
         const std::uint64_t tag = static_cast<std::uint64_t>(octant);
 
-        for (int step = 0; step < steps; ++step) {
-          if (up_x >= 0) prog.push_back({Op::Kind::kRecvPost, up_x, tag, xb, 0});
-          if (up_y >= 0) prog.push_back({Op::Kind::kRecvPost, up_y, tag, yb, 0});
-          if (up_x >= 0) prog.push_back({Op::Kind::kRecvWait, up_x, tag, xb, 0});
-          if (up_y >= 0) prog.push_back({Op::Kind::kRecvWait, up_y, tag, yb, 0});
-          prog.push_back({Op::Kind::kCompute, -1, 0, 0, block_compute});
-          if (dn_x >= 0) prog.push_back({Op::Kind::kSend, dn_x, tag, xb, 0});
-          if (dn_y >= 0) prog.push_back({Op::Kind::kSend, dn_y, tag, yb, 0});
-        }
+        prog.begin_loop(steps);
+        if (up_x >= 0) prog.push_back({Op::Kind::kRecvPost, up_x, tag, xb, 0});
+        if (up_y >= 0) prog.push_back({Op::Kind::kRecvPost, up_y, tag, yb, 0});
+        if (up_x >= 0) prog.push_back({Op::Kind::kRecvWait, up_x, tag, xb, 0});
+        if (up_y >= 0) prog.push_back({Op::Kind::kRecvWait, up_y, tag, yb, 0});
+        prog.push_back({Op::Kind::kCompute, -1, 0, 0, block_compute});
+        if (dn_x >= 0) prog.push_back({Op::Kind::kSend, dn_x, tag, xb, 0});
+        if (dn_y >= 0) prog.push_back({Op::Kind::kSend, dn_y, tag, yb, 0});
+        prog.end_loop();
       }
     }
   }

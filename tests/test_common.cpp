@@ -154,21 +154,6 @@ TEST(Samples, MeanStd) {
   EXPECT_NEAR(s.stddev(), std::sqrt(2.0), 1e-12);
 }
 
-TEST(Log2Histogram, Buckets) {
-  Log2Histogram h;
-  h.add(0);
-  h.add(1);
-  h.add(2);
-  h.add(3);
-  h.add(1024);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bucket_count(Log2Histogram::bucket_of(0)), 1u);
-  EXPECT_EQ(h.bucket_count(Log2Histogram::bucket_of(2)),
-            2u);  // 2 and 3 share a bucket
-  EXPECT_EQ(Log2Histogram::bucket_floor(Log2Histogram::bucket_of(1024)),
-            1024u);
-}
-
 TEST(Table, AlignsColumns) {
   Table t({"size", "latency"});
   t.add_row({"2 B", "1.00"});

@@ -1,14 +1,17 @@
-// Motif engine tests: channel derivation and ChannelId numbering, program
-// generators, and the runner over both transports — including the
-// headline ordering property (RVMA makespan <= RDMA makespan on the same
-// workload).
+// Motif engine tests: loop-compressed programs, channel derivation and
+// ChannelId numbering, program generators, and the runner over both
+// transports — including the headline ordering property (RVMA makespan
+// <= RDMA makespan on the same workload).
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
+#include <string>
 #include <tuple>
 #include <utility>
 
 #include "cluster/cluster.hpp"
+#include "motifs/collectives.hpp"
 #include "motifs/halo3d.hpp"
 #include "motifs/incast.hpp"
 #include "motifs/rdma_transport.hpp"
@@ -27,6 +30,73 @@ net::NetworkConfig torus_config(int nodes, net::Routing routing) {
   cfg.link.bw = Bandwidth::gbps(100);
   cfg.seed = 99;
   return cfg;
+}
+
+// ------------------------------------------------------------ loop blocks
+
+Op send_op(int peer, std::uint64_t tag) {
+  return {Op::Kind::kSend, peer, tag, 64, 0};
+}
+
+TEST(RankProgram, IteratesBlocksExpanded) {
+  // Tags name the ops: a block of 2 trips first, unlooped ops between
+  // blocks of 0 and 1 trips, and a block of 3 trips last.
+  RankProgram prog;
+  prog.begin_loop(2);
+  prog.push_back(send_op(1, 10));
+  prog.push_back(send_op(1, 11));
+  prog.end_loop();
+  prog.push_back(send_op(1, 20));
+  prog.begin_loop(0);
+  prog.push_back(send_op(1, 30));
+  prog.end_loop();
+  prog.push_back(send_op(1, 40));
+  prog.begin_loop(1);
+  prog.push_back(send_op(1, 50));
+  prog.end_loop();
+  prog.push_back(send_op(1, 60));
+  prog.begin_loop(3);
+  prog.push_back(send_op(1, 70));
+  prog.push_back({Op::Kind::kCompute, -1, 0, 0, 5});
+  prog.end_loop();
+
+  const std::vector<std::uint64_t> expanded = {10, 11, 10, 11, 20, 40, 50,
+                                               60, 70, 0,  70, 0,  70, 0};
+  std::vector<std::uint64_t> iterated;
+  for (const Op& op : prog) {
+    EXPECT_NE(op.kind, Op::Kind::kLoop);
+    iterated.push_back(op.tag);
+  }
+  EXPECT_EQ(iterated, expanded);
+  EXPECT_EQ(prog.size(), expanded.size());
+  EXPECT_EQ(static_cast<std::size_t>(std::distance(prog.begin(), prog.end())),
+            expanded.size());
+  // Each block is stored once behind its header; the zero-trip block is
+  // not stored at all.
+  EXPECT_EQ(prog.stored().size(), 3u + 2 + 1 + 1 + 1 + 1 + 2);
+}
+
+TEST(RankProgram, BlocksThatNeverRunAreEmpty) {
+  RankProgram prog;
+  prog.begin_loop(0);
+  prog.push_back(send_op(1, 1));
+  prog.end_loop();
+  prog.begin_loop(4);
+  prog.end_loop();
+  EXPECT_EQ(prog.size(), 0u);
+  EXPECT_TRUE(prog.stored().empty());
+  EXPECT_TRUE(prog.begin() == prog.end());
+}
+
+TEST(RankProgramDeathTest, BlocksDoNotNest) {
+  EXPECT_DEATH(
+      {
+        RankProgram prog;
+        prog.begin_loop(2);
+        prog.push_back(send_op(1, 1));
+        prog.begin_loop(3);
+      },
+      "loop blocks do not nest");
 }
 
 // ------------------------------------------------------- channel derivation
@@ -49,6 +119,77 @@ TEST(DeriveChannels, CountsAndSizes) {
   EXPECT_EQ(by_tag[9].count, 1);
 }
 
+TEST(DeriveChannels, LoopedProgramMatchesUnrolledTwin) {
+  // Rank 0 sends on tag 5 before a block and inside it, so channel
+  // 0 -> 1 tag 5 counts messages from both; tag 9 is sent only inside a
+  // zero-trip block and must not become a channel.
+  std::vector<RankProgram> looped(2), unrolled(2);
+  looped[0].push_back(send_op(1, 5));
+  looped[0].begin_loop(3);
+  looped[0].push_back(send_op(1, 5));
+  looped[0].push_back(send_op(1, 7));
+  looped[0].end_loop();
+  looped[0].begin_loop(0);
+  looped[0].push_back(send_op(1, 9));
+  looped[0].end_loop();
+  looped[1].begin_loop(4);
+  looped[1].push_back({Op::Kind::kRecvPost, 0, 5, 64, 0});
+  looped[1].push_back({Op::Kind::kRecvWait, 0, 5, 64, 0});
+  looped[1].end_loop();
+  looped[1].begin_loop(3);
+  looped[1].push_back({Op::Kind::kRecvPost, 0, 7, 64, 0});
+  looped[1].push_back({Op::Kind::kRecvWait, 0, 7, 64, 0});
+  looped[1].end_loop();
+
+  unrolled[0].push_back(send_op(1, 5));
+  for (int i = 0; i < 3; ++i) {
+    unrolled[0].push_back(send_op(1, 5));
+    unrolled[0].push_back(send_op(1, 7));
+  }
+  for (int i = 0; i < 4; ++i) {
+    unrolled[1].push_back({Op::Kind::kRecvPost, 0, 5, 64, 0});
+    unrolled[1].push_back({Op::Kind::kRecvWait, 0, 5, 64, 0});
+  }
+  for (int i = 0; i < 3; ++i) {
+    unrolled[1].push_back({Op::Kind::kRecvPost, 0, 7, 64, 0});
+    unrolled[1].push_back({Op::Kind::kRecvWait, 0, 7, 64, 0});
+  }
+
+  const std::vector<Channel> channels = MotifRunner::derive_channels(looped);
+  EXPECT_EQ(channels, MotifRunner::derive_channels(unrolled));
+  ASSERT_EQ(channels.size(), 2u);
+  EXPECT_EQ(channels[0].tag, 5u);
+  EXPECT_EQ(channels[0].count, 4);
+  EXPECT_EQ(channels[1].tag, 7u);
+  EXPECT_EQ(channels[1].count, 3);
+
+  // The two run alike...
+  std::vector<MotifResult> results;
+  for (const auto* programs : {&looped, &unrolled}) {
+    cluster::Cluster cluster(torus_config(2, net::Routing::kStatic),
+                             nic::NicParams{});
+    RvmaTransport transport(cluster, core::RvmaParams{});
+    results.push_back(MotifRunner(cluster, transport, *programs).run());
+  }
+  EXPECT_EQ(results[0].ops_executed, 7u + 14u);
+  EXPECT_EQ(results[0].ops_executed, results[1].ops_executed);
+  EXPECT_EQ(results[0].makespan, results[1].makespan);
+  EXPECT_EQ(results[0].transport.data_messages, 7u);
+
+  // ...and numbering gives each executed op the same channel either way.
+  EXPECT_EQ(MotifRunner::number_channels(looped), channels);
+  EXPECT_EQ(MotifRunner::number_channels(unrolled), channels);
+  for (int rank = 0; rank < 2; ++rank) {
+    ASSERT_EQ(looped[rank].size(), unrolled[rank].size());
+    auto twin = unrolled[rank].begin();
+    for (const Op& op : looped[rank]) {
+      ASSERT_EQ(op.kind, twin->kind);
+      EXPECT_EQ(op.channel, twin->channel);
+      ++twin;
+    }
+  }
+}
+
 TEST(NumberChannels, IdsFollowDeriveChannelsOrder) {
   Halo3DConfig cfg;
   cfg.px = 3;
@@ -66,11 +207,13 @@ TEST(NumberChannels, IdsFollowDeriveChannelsOrder) {
     EXPECT_LT(std::tie(a.src, a.dst, a.tag), std::tie(b.src, b.dst, b.tag));
   }
 
+  // Walk each rank's built and numbered programs in lockstep.
   for (std::size_t rank = 0; rank < built.size(); ++rank) {
     ASSERT_EQ(numbered[rank].size(), built[rank].size());
-    for (std::size_t i = 0; i < built[rank].size(); ++i) {
-      const Op& op = built[rank][i];
-      const Op& out = numbered[rank][i];
+    auto out_it = numbered[rank].begin();
+    for (const Op& op : built[rank]) {
+      ASSERT_FALSE(out_it == numbered[rank].end());
+      const Op& out = *out_it++;
       ASSERT_EQ(out.kind, op.kind);
       if (op.kind == Op::Kind::kCompute) {
         EXPECT_EQ(out.compute, op.compute);
@@ -85,6 +228,7 @@ TEST(NumberChannels, IdsFollowDeriveChannelsOrder) {
       EXPECT_EQ(ch.tag, op.tag);
       EXPECT_EQ(ch.bytes, op.bytes);
     }
+    EXPECT_TRUE(out_it == numbered[rank].end());
   }
 }
 
@@ -106,18 +250,19 @@ TEST(NumberChannelsDeathTest, UnmatchedReceiveFailsAtRunStart) {
 
 // ------------------------------------------------------ program generators
 
-TEST(ProgramBuilders, AllocateExactOpCounts) {
-  // Each builder reserves a rank's program at its final length: no
-  // growth slack in the materialized programs.
+/// Every builder on small configs, including edge ranks with fewer
+/// neighbors and non-power-of-two collectives.
+std::vector<std::pair<std::string, std::vector<RankProgram>>> small_motifs() {
+  std::vector<std::pair<std::string, std::vector<RankProgram>>> motifs;
   for (const auto& [pex, pey] : {std::pair{1, 1}, {1, 4}, {3, 2}, {5, 5}}) {
     Sweep3DConfig cfg;
     cfg.pex = pex;
     cfg.pey = pey;
     cfg.nz = 24;
     cfg.kba = 8;
-    for (const RankProgram& prog : build_sweep3d(cfg)) {
-      EXPECT_EQ(prog.capacity(), prog.size()) << pex << "x" << pey;
-    }
+    motifs.emplace_back("sweep3d " + std::to_string(pex) + "x" +
+                            std::to_string(pey),
+                        build_sweep3d(cfg));
   }
   for (const int p : {1, 2, 3}) {
     Halo3DConfig cfg;
@@ -125,9 +270,85 @@ TEST(ProgramBuilders, AllocateExactOpCounts) {
     cfg.py = 2;
     cfg.pz = p;
     cfg.iterations = 3;
-    for (const RankProgram& prog : build_halo3d(cfg)) {
-      EXPECT_EQ(prog.capacity(), prog.size()) << p;
+    motifs.emplace_back("halo3d " + std::to_string(p), build_halo3d(cfg));
+  }
+  IncastConfig incast;
+  incast.clients = 5;
+  incast.messages_per_client = 3;
+  motifs.emplace_back("incast", build_incast(incast));
+  for (const int ranks : {2, 6}) {
+    BarrierConfig barrier;
+    barrier.ranks = ranks;
+    barrier.iterations = 3;
+    motifs.emplace_back("barrier " + std::to_string(ranks),
+                        build_barrier(barrier));
+    AllReduceConfig allreduce;
+    allreduce.ranks = ranks;
+    allreduce.bytes = 4096;
+    allreduce.iterations = 2;
+    allreduce.reduce_per_byte = kPicosecond;
+    motifs.emplace_back("allreduce " + std::to_string(ranks),
+                        build_allreduce(allreduce));
+    BroadcastConfig broadcast;
+    broadcast.ranks = ranks;
+    broadcast.root = 1;
+    broadcast.iterations = 2;
+    motifs.emplace_back("broadcast " + std::to_string(ranks),
+                        build_broadcast(broadcast));
+  }
+  return motifs;
+}
+
+TEST(ProgramBuilders, AllocateExactOpCounts) {
+  // Each builder reserves a rank's program at its final stored length
+  // (block headers and bodies): no growth slack.
+  for (const auto& [name, programs] : small_motifs()) {
+    for (const RankProgram& prog : programs) {
+      EXPECT_EQ(prog.capacity(), prog.stored().size()) << name;
     }
+  }
+}
+
+TEST(ProgramBuilders, RunnerExecutesEveryOpOfEveryProgram) {
+  for (auto& [name, programs] : small_motifs()) {
+    std::uint64_t built = 0;
+    for (const RankProgram& prog : programs) built += prog.size();
+    cluster::Cluster cluster(
+        torus_config(static_cast<int>(programs.size()), net::Routing::kStatic),
+        nic::NicParams{});
+    RvmaTransport transport(cluster, core::RvmaParams{});
+    const MotifResult result =
+        MotifRunner(cluster, transport, std::move(programs)).run();
+    EXPECT_EQ(result.ops_executed, built) << name;
+  }
+}
+
+TEST(ProgramBuilders, ProgramMemoryIsIndependentOfRepeatCounts) {
+  // A block is stored once however often it repeats: more z-blocks or
+  // iterations raise the executed count, not the allocation.
+  Sweep3DConfig sweep;
+  sweep.pex = 3;
+  sweep.pey = 3;
+  sweep.nz = 64;
+  const std::vector<RankProgram> shallow = build_sweep3d(sweep);
+  sweep.nz = 512;
+  const std::vector<RankProgram> deep = build_sweep3d(sweep);
+  ASSERT_EQ(shallow.size(), deep.size());
+  for (std::size_t rank = 0; rank < deep.size(); ++rank) {
+    EXPECT_EQ(deep[rank].capacity(), shallow[rank].capacity()) << rank;
+    EXPECT_EQ(deep[rank].size(), 8 * shallow[rank].size()) << rank;
+  }
+
+  Halo3DConfig halo;
+  halo.px = halo.py = halo.pz = 3;
+  halo.iterations = 1;
+  const std::vector<RankProgram> once = build_halo3d(halo);
+  halo.iterations = 64;
+  const std::vector<RankProgram> many = build_halo3d(halo);
+  ASSERT_EQ(once.size(), many.size());
+  for (std::size_t rank = 0; rank < many.size(); ++rank) {
+    EXPECT_EQ(many[rank].capacity(), once[rank].capacity()) << rank;
+    EXPECT_EQ(many[rank].size(), 64 * once[rank].size()) << rank;
   }
 }
 

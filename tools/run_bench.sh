@@ -377,11 +377,12 @@ echo "route-table: table and metrics byte-identical algebraic vs materialized"
 #    60 s wall, 1 GiB RSS: ~100x headroom over the measured 0.4 s /
 #    120 MiB, so the gate catches regressions in kind, not noise.
 #  * sweep3d: the Fig 7 torus3d-static cell at 100 Gb/s with the fig7
-#    motif parameters, RVMA at --par-shards=4: 3.63M program ops and
-#    129,592 channels, each a transport record and a mailbox. Peak RSS
-#    is deterministic, so its budget is the measured 323.4 MiB
-#    (339,144,704 bytes, Release build, 4-vCPU host) plus 10%. Wall
-#    budget 60 s: it simulates in ~4.3 s on 4 cores.
+#    motif parameters, RVMA at --par-shards=4: 3.63M executed program
+#    ops from 0.52M stored ones (each octant's z-step is one loop
+#    block), and 129,592 channels, each a transport record and a
+#    mailbox. Peak RSS is deterministic, so its budget is the measured
+#    228.6 MiB (239,665,152 bytes, Release build, 4-vCPU host) plus 10%.
+#    Wall budget 60 s: it simulates in ~3.7 s on 4 cores.
 printf '{"format": "rvma-scenario-v1", "scenario": {}}\n' \
   > "$tmp_dir/paper_cell.json"
 # paper_gate NAME WALL_BUDGET_S RSS_BUDGET_BYTES RVMA_RUN_FLAGS...
@@ -420,7 +421,7 @@ paper_gate() {
 paper_gate halo3d 60 1073741824 \
   --motif=halo3d --motif.nx=4 --motif.ny=4 --motif.nz=4 --motif.vars=4 \
   --motif.iterations=1 --motif.compute_per_cell=50ps
-paper_gate sweep3d 60 373059174 --par-shards=4 --seed=2021 \
+paper_gate sweep3d 60 263631667 --par-shards=4 --seed=2021 \
   --motif=sweep3d --motif.nx=48 --motif.ny=48 --motif.nz=64 \
   --motif.kba=8 --motif.vars=4 --motif.compute_per_cell=20ps
 
