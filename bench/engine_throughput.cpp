@@ -12,6 +12,9 @@
 //  * fanout — many events pending at once (heap depth stress).
 //  * fabric — real Cluster: multi-packet messages through the star fabric
 //             and the NIC dispatch path.
+//  * api    — the rvma.h put/completion path: a closed loop of
+//             single-packet puts into a catch-all window (the kv_store
+//             pattern).
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -22,6 +25,7 @@
 #include <new>
 #include <vector>
 
+#include "api/rvma.h"
 #include "common/rss.hpp"
 #include "net/topology.hpp"
 #include "cluster/cluster.hpp"
@@ -248,6 +252,78 @@ FabricStatsOut bench_fabric(std::uint64_t messages, std::uint64_t msg_bytes,
   out.allocs_per_packet =
       static_cast<double>(g_alloc_count - allocs_before) / pkts;
   if (received == 0) std::printf("unreachable\n");
+  return out;
+}
+
+struct ApiStatsOut {
+  double messages_per_sec = 0;
+  double allocs_per_message = 0;
+  std::uint64_t messages = 0;
+};
+
+/// The kv_store request path on rvma.h: node 0 keeps kLanes single-packet
+/// rvma_puts in flight to node 1's catch-all window, whose observer
+/// re-posts each completed buffer and releases the next put. After a
+/// warm-up that fills the server's poll ring, `messages` completions are
+/// timed and their allocations counted.
+ApiStatsOut bench_api(std::uint64_t messages) {
+  namespace net = rvma::net;
+  net::NetworkConfig cfg;
+  cfg.topology = net::TopologyKind::kStar;
+  cfg.nodes_hint = 2;
+  rvma::cluster::Cluster cluster(cfg, rvma::nic::NicParams{});
+  constexpr std::int64_t kRecord = 80;  // 16-byte header + 64-byte value
+  constexpr int kLanes = 4;
+  constexpr std::uint64_t kWarmup = 4096;
+  constexpr std::uint64_t kRequestVaddr = 0x44D0DEADULL;
+  struct Loop {
+    rvma_ctx client = nullptr;
+    rvma_win catch_all = nullptr;
+    std::vector<std::byte> request;
+    std::uint64_t sent = 0;
+    std::uint64_t received = 0;
+    std::uint64_t limit = 0;
+    void put() {
+      ++sent;
+      rvma_put(client, request.data(), 1, kRequestVaddr, kRecord);
+    }
+  } loop;
+  loop.client = rvma_initialize(&cluster, 0);
+  rvma_ctx server = rvma_initialize(&cluster, 1);
+  loop.request.assign(kRecord, std::byte{0x5A});
+  loop.limit = kWarmup + messages;
+  loop.catch_all = rvma_init_catch_all(server, kRecord, RVMA_EPOCH_BYTES);
+  std::vector<std::byte> pool(static_cast<std::size_t>(kRecord) *
+                              (kLanes + 8));
+  for (std::size_t off = 0; off < pool.size();
+       off += static_cast<std::size_t>(kRecord)) {
+    rvma_post_buffer(loop.catch_all, pool.data() + off, kRecord, nullptr);
+  }
+  rvma_win_observe(
+      loop.catch_all,
+      [](void* arg, void* buf, std::int64_t) {
+        auto* l = static_cast<Loop*>(arg);
+        ++l->received;
+        rvma_post_buffer(l->catch_all, buf, kRecord, nullptr);
+        if (l->sent < l->limit) l->put();
+      },
+      &loop);
+  for (int lane = 0; lane < kLanes; ++lane) loop.put();
+  while (loop.received < kWarmup && cluster.engine().step()) {
+  }
+  const std::uint64_t allocs_before = g_alloc_count;
+  const std::uint64_t received_before = loop.received;
+  const auto t0 = std::chrono::steady_clock::now();
+  cluster.engine().run();
+  const double dt = seconds_since(t0);
+  ApiStatsOut out;
+  out.messages = loop.received - received_before;
+  out.messages_per_sec = static_cast<double>(out.messages) / dt;
+  out.allocs_per_message =
+      static_cast<double>(g_alloc_count - allocs_before) /
+      static_cast<double>(out.messages);
+  rvma_finalize(loop.client);
+  rvma_finalize(server);
   return out;
 }
 
@@ -542,6 +618,7 @@ int main(int argc, char** argv) {
       bench_fabric(40'000, 64 * 1024, Pattern::kRing);
   const FabricStatsOut incast =
       bench_fabric(20'000, 64 * 1024, Pattern::kIncast);
+  const ApiStatsOut api = bench_api(400'000);
   // Flight-recorder overhead: armed-but-idle on the chain (the event
   // loop must not slow down) and armed-and-recording on the fabric (the
   // real per-span cost). run_bench.sh bounds the chain delta at 5%.
@@ -578,6 +655,8 @@ int main(int argc, char** argv) {
               fabric.allocs_per_packet);
   std::printf("incast: %.2fM packets/s, %.3f allocs/packet\n",
               incast.packets_per_sec / 1e6, incast.allocs_per_packet);
+  std::printf("api   : %.2fM messages/s, %.3f allocs/message\n",
+              api.messages_per_sec / 1e6, api.allocs_per_message);
   std::printf(
       "recorder: chain %.2fM events/s armed (%.2f%% overhead), "
       "fabric %.2fM packets/s recording (%.2f%% overhead)\n",
@@ -671,7 +750,9 @@ int main(int argc, char** argv) {
                "    \"fabric_events_per_sec\": %.0f,\n"
                "    \"fabric_allocs_per_packet\": %.3f,\n"
                "    \"incast_packets_per_sec\": %.0f,\n"
-               "    \"incast_allocs_per_packet\": %.3f\n"
+               "    \"incast_allocs_per_packet\": %.3f,\n"
+               "    \"api_messages_per_sec\": %.0f,\n"
+               "    \"api_allocs_per_message\": %.3f\n"
                "  },\n",
                kBaselineChainEventsPerSec, kBaselineFanoutEventsPerSec,
                kBaselinePacketsPerSec, kBaselineAllocsPerEvent,
@@ -679,7 +760,8 @@ int main(int argc, char** argv) {
                fanout.events_per_sec, fanout.allocs_per_event,
                fabric.packets_per_sec, fabric.events_per_sec,
                fabric.allocs_per_packet, incast.packets_per_sec,
-               incast.allocs_per_packet);
+               incast.allocs_per_packet, api.messages_per_sec,
+               api.allocs_per_message);
   // Key names must not collide with the "current" block's: run_bench.sh
   // extracts gate inputs with `sed | tail -n 1` over the whole file.
   std::fprintf(f,

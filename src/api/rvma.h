@@ -110,6 +110,12 @@ rvma_status rvma_release(rvma_ctx ctx, rvma_win win);
 
 /* ---- data movement ---- */
 
+/* Destinations: `proc` names a node of the context's network, [0, nodes)
+ * (the cluster's node count, also for rvma_wrap_endpoint contexts). The
+ * put and get calls return RVMA_ERR_INVALID for any other value, and so
+ * do rvma_flush/rvma_flush_wait for anything else but RVMA_ALL_PROCS;
+ * nothing is sent and no waiter fires. */
+
 /* Write `bytes` starting at `local` into the window at (proc,
  * virtual_addr). Zero-copy: `local` must stay untouched until a
  * rvma_flush()/rvma_flush_wait() covering this operation succeeds. */
@@ -152,8 +158,9 @@ rvma_status rvma_flush_wait(rvma_ctx ctx, int32_t proc, rvma_done_fn fn,
 
 /* Drain one window completion (the notification-word check). Returns 1
  * and fills `*out` (if non-NULL) when a completion was pending, else 0.
- * The context keeps a bounded queue of recent completions; prefer
- * rvma_win_observe() for high-rate windows. */
+ * The context keeps the newest 1,024 completions, oldest first; older
+ * ones are dropped unpolled. Prefer rvma_win_observe() for high-rate
+ * windows. */
 int rvma_poll(rvma_ctx ctx, rvma_completion* out);
 
 /* ---- the paper's window calls, over handles ---- */
@@ -190,7 +197,9 @@ uint64_t rvma_win_completions(rvma_win win);
 uint64_t rvma_win_vaddr(rvma_win win);
 
 /* Persistent completion observer: `fn(arg, buf, len)` on every epoch
- * roll of this window. One observer per window; NULL fn clears it. */
+ * roll of this window. One observer per window; NULL fn clears it, and
+ * so do rvma_win_free and rvma_release (completions keep queueing poll
+ * tokens; a window initialised again starts without an observer). */
 void rvma_win_observe(rvma_win win, rvma_notify_fn fn, void* arg);
 /* One-shot completion wait (paper notify semantics). */
 void rvma_win_wait(rvma_win win, rvma_notify_fn fn, void* arg);

@@ -1,6 +1,8 @@
 #include "core/endpoint.hpp"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "common/log.hpp"
@@ -74,8 +76,8 @@ RvmaEndpoint::RvmaEndpoint(nic::Nic& nic, const RvmaParams& params,
 Window RvmaEndpoint::init_window(std::uint64_t vaddr, std::int64_t threshold,
                                  EpochType type, Placement placement,
                                  std::uint64_t key) {
-  lut_.try_emplace(vaddr, vaddr, threshold, type, placement,
-                   params_.retire_depth, key);
+  lut_.try_emplace(vaddr, Mailbox(vaddr, threshold, type, placement,
+                                  params_.retire_depth, key));
   return Window(this, vaddr);
 }
 
@@ -89,7 +91,7 @@ Status RvmaEndpoint::post_buffer(std::uint64_t vaddr,
                                  std::int64_t* len_ptr) {
   auto it = lut_.find(vaddr);
   if (it == lut_.end()) return Status::kNoMailbox;
-  Mailbox& mb = it->second;
+  Mailbox& mb = it->second.mb;
   PostedBuffer buf;
   buf.base = buffer.data();
   buf.size = buffer.size();
@@ -107,7 +109,7 @@ Status RvmaEndpoint::post_buffer_timing_only(std::uint64_t vaddr,
                                              std::uint64_t size) {
   auto it = lut_.find(vaddr);
   if (it == lut_.end()) return Status::kNoMailbox;
-  Mailbox& mb = it->second;
+  Mailbox& mb = it->second.mb;
   PostedBuffer buf;
   buf.size = size;
   const Status st = mb.post(buf);
@@ -121,14 +123,14 @@ Status RvmaEndpoint::post_buffer_timing_only(std::uint64_t vaddr,
 Status RvmaEndpoint::close_window(std::uint64_t vaddr) {
   auto it = lut_.find(vaddr);
   if (it == lut_.end()) return Status::kNoMailbox;
-  it->second.close();
+  it->second.mb.close();
   return Status::kOk;
 }
 
 Status RvmaEndpoint::free_window(std::uint64_t vaddr) {
   auto it = lut_.find(vaddr);
   if (it == lut_.end()) return Status::kNoMailbox;
-  Mailbox& mb = it->second;
+  Mailbox& mb = it->second.mb;
   // Release the active buffer's on-NIC counter, if it holds one.
   if (mb.has_active() && mb.active().counter_on_nic) {
     counters_.release();
@@ -137,9 +139,8 @@ Status RvmaEndpoint::free_window(std::uint64_t vaddr) {
   // The mailbox's still-posted buffers are discarded with it; account them
   // as retired so the posted-buffers level (posted - retired) returns to 0.
   c_buffers_retired_->inc(mb.posted_count());
-  lut_.erase(it);
+  lut_.erase(it);  // drops the completion observer with the mailbox
   waiters_.erase(vaddr);
-  observers_.erase(vaddr);
   op_observers_.erase(vaddr);
   return Status::kOk;
 }
@@ -147,7 +148,7 @@ Status RvmaEndpoint::free_window(std::uint64_t vaddr) {
 Status RvmaEndpoint::inc_epoch(std::uint64_t vaddr) {
   auto it = lut_.find(vaddr);
   if (it == lut_.end()) return Status::kNoMailbox;
-  Mailbox& mb = it->second;
+  Mailbox& mb = it->second.mb;
   if (!mb.has_active()) return Status::kNoBuffer;
   complete_active(mb, /*soft=*/true);
   return Status::kOk;
@@ -155,14 +156,14 @@ Status RvmaEndpoint::inc_epoch(std::uint64_t vaddr) {
 
 std::int64_t RvmaEndpoint::get_epoch(std::uint64_t vaddr) const {
   const auto it = lut_.find(vaddr);
-  return it == lut_.end() ? -1 : it->second.epoch();
+  return it == lut_.end() ? -1 : it->second.mb.epoch();
 }
 
 int RvmaEndpoint::get_buf_ptrs(std::uint64_t vaddr, void** out,
                                int count) const {
   const auto it = lut_.find(vaddr);
   if (it == lut_.end()) return 0;
-  return it->second.collect_notif_ptrs(out, count);
+  return it->second.mb.collect_notif_ptrs(out, count);
 }
 
 Status RvmaEndpoint::rewind(std::uint64_t vaddr, int epochs_back, void** buf,
@@ -170,7 +171,7 @@ Status RvmaEndpoint::rewind(std::uint64_t vaddr, int epochs_back, void** buf,
   const auto it = lut_.find(vaddr);
   if (it == lut_.end()) return Status::kNoMailbox;
   RetiredBuffer retired;
-  const Status st = it->second.rewind(epochs_back, &retired);
+  const Status st = it->second.mb.rewind(epochs_back, &retired);
   if (!ok(st)) return st;
   if (buf != nullptr) *buf = retired.base;
   if (len != nullptr) *len = static_cast<std::int64_t>(retired.bytes_received);
@@ -182,19 +183,23 @@ void RvmaEndpoint::notify_wait(std::uint64_t vaddr, NotifyFn fn) {
 }
 
 void RvmaEndpoint::set_completion_observer(std::uint64_t vaddr, NotifyFn fn) {
-  // A null fn clears the observer (erase, never store an empty function:
-  // the completion unit invokes whatever it finds).
-  if (fn) {
-    observers_[vaddr] = std::move(fn);
-  } else {
-    observers_.erase(vaddr);
+  const auto it = lut_.find(vaddr);
+  if (it != lut_.end()) {
+    it->second.observer = std::move(fn);
+    return;
   }
+  if (!fn) return;  // nothing to clear: the mailbox took its observer along
+  std::fprintf(stderr,
+               "rvma: completion observer for vaddr 0x%llx on node %d, "
+               "which has no mailbox (init_window first)\n",
+               static_cast<unsigned long long>(vaddr), node());
+  std::abort();
 }
 
 void RvmaEndpoint::detach_notification(std::uint64_t vaddr, void** notif_ptr,
                                        std::int64_t* len_ptr) {
   const auto it = lut_.find(vaddr);
-  if (it != lut_.end()) it->second.detach_notifications(notif_ptr, len_ptr);
+  if (it != lut_.end()) it->second.mb.detach_notifications(notif_ptr, len_ptr);
 }
 
 void RvmaEndpoint::set_op_observer(std::uint64_t vaddr, OpObserver fn) {
@@ -203,12 +208,12 @@ void RvmaEndpoint::set_op_observer(std::uint64_t vaddr, OpObserver fn) {
 
 std::uint64_t RvmaEndpoint::completions(std::uint64_t vaddr) const {
   const auto it = lut_.find(vaddr);
-  return it == lut_.end() ? 0 : it->second.completed_count();
+  return it == lut_.end() ? 0 : it->second.mb.completed_count();
 }
 
 const Mailbox* RvmaEndpoint::find_mailbox(std::uint64_t vaddr) const {
   const auto it = lut_.find(vaddr);
-  return it == lut_.end() ? nullptr : &it->second;
+  return it == lut_.end() ? nullptr : &it->second.mb;
 }
 
 void RvmaEndpoint::put(NodeId dst, std::uint64_t vaddr, std::uint64_t offset,
@@ -303,7 +308,7 @@ void RvmaEndpoint::handle_packet(const net::Packet& pkt) {
             return;
           }
         }
-        Mailbox& mb = it->second;
+        Mailbox& mb = it->second.mb;
         if (mb.closed()) {
           ++stats_.drops_closed;
           c_drops_closed_->inc();
@@ -374,12 +379,12 @@ void RvmaEndpoint::handle_packet(const net::Packet& pkt) {
                                             vaddr, offset, bytes, reply_vaddr,
                                             msg_id] {
         const auto it = lut_.find(vaddr);
-        if (it == lut_.end() || it->second.closed() ||
-            !it->second.has_active()) {
+        if (it == lut_.end() || it->second.mb.closed() ||
+            !it->second.mb.has_active()) {
           send_nack(requester, requester_pid, vaddr, msg_id, Status::kNoBuffer);
           return;
         }
-        const PostedBuffer& buf = it->second.active();
+        const PostedBuffer& buf = it->second.mb.active();
         const std::byte* data = nullptr;
         if (buf.base != nullptr && offset + bytes <= buf.size) {
           data = buf.base + offset;
@@ -451,29 +456,30 @@ void RvmaEndpoint::process_put(const net::Packet& pkt, Mailbox& mb,
   }
 
   // Operation counting: a put counts once, when its last packet arrives.
-  const std::uint32_t arrived = ++msg_arrived_[pkt.msg->id];
-  if (arrived == pkt.total) {
-    msg_arrived_.erase(pkt.msg->id);
-    ++stats_.puts_received;
-    c_puts_->inc();
-    // Message::id packs (src_node << 40) | per-sender post counter, so the
-    // low 40 bits order this sender's posts; the mailbox turns them into
-    // an arrival-vs-post out-of-order degree.
-    h_mailbox_ooo_degree_->record(
-        mb.ooo_degree(pkt.src, pkt.msg->id & ((std::uint64_t{1} << 40) - 1)));
-    RVMA_FREC(engine_, engine_.now(), obs::SpanKind::kMbMatch, pkt.msg->id,
-              node(), static_cast<std::int64_t>(mb.vaddr()));
-    if (mb.has_active()) {
-      PostedBuffer& buf = mb.active();
-      ++buf.ops_received;
-      if (buf.threshold_reached()) {
-        complete_active(mb, /*soft=*/false);
-      } else if (!completed_any) {
-        const auto it = op_observers_.find(mb.vaddr());
-        if (it != op_observers_.end() && it->second) {
-          it->second(buf.ops_received, buf.bytes_received);
-        }
-      }
+  // A single-packet put is complete on arrival and needs no tracking.
+  if (pkt.total > 1) {
+    const auto it = msg_arrived_.try_emplace(pkt.msg->id, 0).first;
+    if (++it->second < pkt.total) return;
+    msg_arrived_.erase(it);
+  }
+  ++stats_.puts_received;
+  c_puts_->inc();
+  // Message::id packs (src_node << 40) | per-sender post counter, so the
+  // low 40 bits order this sender's posts; the mailbox turns them into
+  // an arrival-vs-post out-of-order degree.
+  h_mailbox_ooo_degree_->record(
+      mb.ooo_degree(pkt.src, pkt.msg->id & ((std::uint64_t{1} << 40) - 1)));
+  RVMA_FREC(engine_, engine_.now(), obs::SpanKind::kMbMatch, pkt.msg->id,
+            node(), static_cast<std::int64_t>(mb.vaddr()));
+  if (!mb.has_active()) return;
+  PostedBuffer& buf = mb.active();
+  ++buf.ops_received;
+  if (buf.threshold_reached()) {
+    complete_active(mb, /*soft=*/false);
+  } else if (!completed_any && !op_observers_.empty()) {
+    const auto it = op_observers_.find(mb.vaddr());
+    if (it != op_observers_.end() && it->second) {
+      it->second(buf.ops_received, buf.bytes_received);
     }
   }
 }
@@ -526,20 +532,25 @@ void RvmaEndpoint::complete_active(Mailbox& mb, bool soft) {
     if (len_ptr != nullptr) *len_ptr = len;
 
     std::vector<NotifyFn> fns;
-    auto wit = waiters_.find(vaddr);
-    if (wit != waiters_.end() && !wit->second.empty()) {
-      fns = std::move(wit->second);
-      wit->second.clear();
+    if (!waiters_.empty()) {
+      const auto wit = waiters_.find(vaddr);
+      if (wit != waiters_.end() && !wit->second.empty()) {
+        fns = std::move(wit->second);
+        wit->second.clear();
+      }
     }
-    const auto oit = observers_.find(vaddr);
-    const bool observed = oit != observers_.end();
+    const auto it = lut_.find(vaddr);
+    const bool observed = it != lut_.end() && it->second.observer;
     if (fns.empty() && !observed) return;
     engine_.schedule(params_.mwait_wake,
                      [this, fns = std::move(fns), head, len, vaddr, observed] {
                        if (observed) {
-                         // Re-look-up: the observer may have been replaced.
-                         const auto it = observers_.find(vaddr);
-                         if (it != observers_.end()) it->second(head, len);
+                         // Re-look-up: the window may have been freed or
+                         // its observer replaced since the write.
+                         const auto it = lut_.find(vaddr);
+                         if (it != lut_.end() && it->second.observer) {
+                           it->second.observer(head, len);
+                         }
                        }
                        for (const NotifyFn& fn : fns) fn(head, len);
                      });

@@ -15,6 +15,7 @@
 #include <functional>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/mailbox.hpp"
@@ -66,6 +67,8 @@ class RvmaEndpoint {
   RvmaEndpoint(nic::Nic& nic, const RvmaParams& params, net::Pid pid = 0);
 
   NodeId node() const { return nic_.node(); }
+  /// Nodes reachable from this endpoint: destinations are [0, num_nodes()).
+  int num_nodes() const { return nic_.num_nodes(); }
   net::Pid pid() const { return pid_; }
   const RvmaParams& params() const { return params_; }
   const RvmaStats& stats() const { return stats_; }
@@ -120,7 +123,9 @@ class RvmaEndpoint {
   /// Persistent observer invoked for *every* completion on `vaddr` (same
   /// timing as notify_wait). Middleware (e.g. the motif transport) uses
   /// this to avoid re-arm races between back-to-back completions.
-  /// A null fn clears the observer.
+  /// The observer lives with the mailbox, so `vaddr` must name one
+  /// (init_window first): a non-null fn for an unknown vaddr aborts.
+  /// A null fn clears the observer, and is a no-op on an unknown vaddr.
   void set_completion_observer(std::uint64_t vaddr, NotifyFn fn);
 
   /// Null out the completion-pointer locations of buffers posted to
@@ -174,6 +179,14 @@ class RvmaEndpoint {
   const Mailbox* find_mailbox(std::uint64_t vaddr) const;
 
  private:
+  /// One LUT record: a mailbox and its persistent completion observer, so
+  /// each completion stage resolves both with one lookup.
+  struct LutEntry {
+    explicit LutEntry(Mailbox m) : mb(std::move(m)) {}
+    Mailbox mb;
+    NotifyFn observer;
+  };
+
   void handle_packet(const net::Packet& pkt);
   void process_put(const net::Packet& pkt, Mailbox& mb, bool via_catch_all);
   void complete_active(Mailbox& mb, bool soft);
@@ -214,15 +227,16 @@ class RvmaEndpoint {
   obs::Histogram* h_completion_latency_ns_;
   obs::Histogram* h_mailbox_ooo_degree_;
 
-  /// The mailbox LUT. Mailboxes live in the map's nodes, which never move:
+  /// The mailbox LUT. Records live in the map's nodes, which never move:
   /// a pending host-counter update holds a Mailbox reference across an
   /// event.
-  std::unordered_map<std::uint64_t, Mailbox> lut_;
+  std::unordered_map<std::uint64_t, LutEntry> lut_;
+  /// One-shot waiters and op observers are rare, so they stay out of the
+  /// LUT record and are consulted only when non-empty.
   std::unordered_map<std::uint64_t, std::vector<NotifyFn>> waiters_;
-  std::unordered_map<std::uint64_t, NotifyFn> observers_;
   std::unordered_map<std::uint64_t, OpObserver> op_observers_;
-  // Per-message packet tracking for op counting (multi-packet puts count
-  // as one operation when fully arrived).
+  // Per-message packet tracking for op counting: a multi-packet put counts
+  // as one operation when fully arrived. Single-packet puts skip it.
   std::unordered_map<net::MsgId, std::uint32_t> msg_arrived_;
   NackFn nack_fn_;
 };

@@ -18,6 +18,7 @@ ApiMotifResult ApiMotif::run(cluster::Cluster& cluster) {
   rank_ops_.assign(n, 0);
   rank_done_.assign(n, 0);
   rank_finish_.assign(n, 0);
+  counters_.assign(n * instruments_.size(), nullptr);
   ctx_.resize(n);
   for (int r = 0; r < ranks_; ++r) {
     ctx_[static_cast<std::size_t>(r)] = rvma_initialize(&cluster, r);

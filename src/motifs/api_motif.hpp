@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "api/rvma.h"
@@ -30,6 +31,10 @@ struct ApiMotifResult {
 
 class ApiMotif {
  public:
+  /// `instruments` names the subclass's metrics counters; counter() takes
+  /// an index into it. The span must outlive the motif.
+  explicit ApiMotif(std::span<const char* const> instruments)
+      : instruments_(instruments) {}
   virtual ~ApiMotif() = default;
 
   /// Run the motif over every node of the cluster. Creates one context
@@ -49,10 +54,19 @@ class ApiMotif {
   int ranks() const { return ranks_; }
   rvma_ctx ctx(int rank) { return ctx_[static_cast<std::size_t>(rank)]; }
   sim::Engine& engine_for(int rank) { return cluster_->engine_for(rank); }
-  /// Metrics instrument on the rank's NIC registry — per-shard, merged
-  /// order-invariantly by Cluster::collect_metrics().
-  obs::Counter& counter(int rank, const char* name) {
-    return cluster_->nic(rank).metrics().counter(name);
+  /// Instrument `id` on the rank's NIC registry — per-shard, merged
+  /// order-invariantly by Cluster::collect_metrics(). Each (rank, id)
+  /// pointer is resolved on first use and cached, so the registry holds
+  /// only the instruments a rank actually touched.
+  obs::Counter& counter(int rank, int id) {
+    obs::Counter*& c = counters_[static_cast<std::size_t>(rank) *
+                                     instruments_.size() +
+                                 static_cast<std::size_t>(id)];
+    if (c == nullptr) {
+      c = &cluster_->nic(rank).metrics().counter(
+          instruments_[static_cast<std::size_t>(id)]);
+    }
+    return *c;
   }
 
   /// Single-writer per-rank progress (each cell touched only from its
@@ -72,6 +86,10 @@ class ApiMotif {
   std::vector<std::uint64_t> rank_ops_;
   std::vector<std::uint8_t> rank_done_;  // not vector<bool>: shard-safe
   std::vector<Time> rank_finish_;
+  std::span<const char* const> instruments_;
+  /// [rank * instruments_.size() + id], each cell written only from its
+  /// rank's shard thread.
+  std::vector<obs::Counter*> counters_;
 };
 
 }  // namespace rvma::motifs

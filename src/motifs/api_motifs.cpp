@@ -94,11 +94,11 @@ void RemotePagingMotif::do_fault(int rank) {
   const auto page = static_cast<std::int64_t>(
       (x >> 20) % static_cast<unsigned>(cfg_.pages_per_rank));
   if (owner == rank) {
-    counter(rank, "paging.faults_local").inc();
+    counter(rank, kFaultsLocal).inc();
     next_fault(rank);
     return;
   }
-  counter(rank, "paging.faults_remote").inc();
+  counter(rank, kFaultsRemote).inc();
   const rvma_status st = rvma_get_ex(
       ctx(rank), owner, kPageVaddrBase + static_cast<unsigned>(owner),
       page * static_cast<std::int64_t>(cfg_.page_bytes),
@@ -114,8 +114,7 @@ void RemotePagingMotif::do_fault(int rank) {
 }
 
 void RemotePagingMotif::on_page(int rank, std::int64_t len) {
-  counter(rank, "paging.bytes_fetched")
-      .inc(static_cast<std::uint64_t>(len));
+  counter(rank, kBytesFetched).inc(static_cast<std::uint64_t>(len));
   next_fault(rank);
 }
 
@@ -224,8 +223,8 @@ void KvStoreMotif::issue(int client, int lane) {
   }
   ++issued_[i];
   add_ops(client, 1);
-  counter(client, "kv.requests").inc();
-  counter(client, op == 1 ? "kv.puts" : "kv.gets").inc();
+  counter(client, kRequests).inc();
+  counter(client, op == 1 ? kPuts : kGets).inc();
   const rvma_status st =
       rvma_put(ctx(client), slot, server, kKvRequestVaddr,
                static_cast<std::int64_t>(rec));
@@ -244,9 +243,9 @@ void KvStoreMotif::on_request(int server, void* buf, std::int64_t len) {
   std::byte* value = store_[i].data() + (key % kKeysPerServer) * cfg_.value_bytes;
   if ((op_lane & 0xff) == 1) {
     std::memcpy(value, req + 16, cfg_.value_bytes);
-    counter(server, "kv.store_puts").inc();
+    counter(server, kStorePuts).inc();
   } else {
-    counter(server, "kv.store_gets").inc();
+    counter(server, kStoreGets).inc();
   }
   // Build the reply (header echo + current value) in the next ring slot,
   // then recycle the request buffer into the catch-all pool. The ring is
@@ -261,7 +260,7 @@ void KvStoreMotif::on_request(int server, void* buf, std::int64_t len) {
                    nullptr);
   engine_for(server).schedule(cfg_.server_compute, [this, server, i, client,
                                                     reply, rec] {
-    counter(server, "kv.served").inc();
+    counter(server, kServed).inc();
     add_ops(server, 1);
     const rvma_status st = rvma_put(
         ctx(server), reply, static_cast<std::int32_t>(client),
@@ -280,7 +279,7 @@ void KvStoreMotif::on_reply(int client, void* buf, std::int64_t len) {
   rvma_post_buffer(client_win_[i], reply, static_cast<std::int64_t>(rec),
                    nullptr);
   ++done_[i];
-  counter(client, "kv.replies").inc();
+  counter(client, kReplies).inc();
   if (issued_[i] < cfg_.requests) {
     issue(client, lane);
   } else if (done_[i] == cfg_.requests) {
@@ -384,7 +383,7 @@ void AllToAllMotif::try_advance(int rank) {
   if (iter >= cfg_.iterations) return;
   const auto it = static_cast<std::size_t>(iter);
   if (recv_done_[i][it] == 0 || sent_done_[i][it] == 0) return;
-  counter(rank, "a2a.rounds").inc();
+  counter(rank, kRounds).inc();
   round_[i] = iter + 1;
   begin_round(rank, iter + 1);
 }

@@ -36,7 +36,8 @@ struct RemotePagingConfig {
 
 class RemotePagingMotif : public ApiMotif {
  public:
-  explicit RemotePagingMotif(const RemotePagingConfig& cfg) : cfg_(cfg) {}
+  explicit RemotePagingMotif(const RemotePagingConfig& cfg)
+      : ApiMotif(kInstruments), cfg_(cfg) {}
 
  protected:
   void setup() override;
@@ -47,6 +48,9 @@ class RemotePagingMotif : public ApiMotif {
     RemotePagingMotif* self;
     int rank;
   };
+  enum Instrument { kFaultsLocal, kFaultsRemote, kBytesFetched };
+  static constexpr const char* kInstruments[] = {
+      "paging.faults_local", "paging.faults_remote", "paging.bytes_fetched"};
   void next_fault(int rank);
   void do_fault(int rank);
   void on_page(int rank, std::int64_t len);
@@ -71,7 +75,8 @@ struct KvStoreConfig {
 
 class KvStoreMotif : public ApiMotif {
  public:
-  explicit KvStoreMotif(const KvStoreConfig& cfg) : cfg_(cfg) {}
+  explicit KvStoreMotif(const KvStoreConfig& cfg)
+      : ApiMotif(kInstruments), cfg_(cfg) {}
 
  protected:
   void setup() override;
@@ -82,6 +87,12 @@ class KvStoreMotif : public ApiMotif {
     KvStoreMotif* self;
     int rank;
   };
+  enum Instrument {
+    kRequests, kPuts, kGets, kStorePuts, kStoreGets, kServed, kReplies
+  };
+  static constexpr const char* kInstruments[] = {
+      "kv.requests",   "kv.puts",   "kv.gets",   "kv.store_puts",
+      "kv.store_gets", "kv.served", "kv.replies"};
   int clients() const { return ranks() - cfg_.servers; }
   std::uint64_t record_bytes() const { return 16 + cfg_.value_bytes; }
   void issue(int client, int lane);
@@ -113,7 +124,8 @@ struct AllToAllConfig {
 
 class AllToAllMotif : public ApiMotif {
  public:
-  explicit AllToAllMotif(const AllToAllConfig& cfg) : cfg_(cfg) {}
+  explicit AllToAllMotif(const AllToAllConfig& cfg)
+      : ApiMotif(kInstruments), cfg_(cfg) {}
 
  protected:
   void setup() override;
@@ -125,6 +137,8 @@ class AllToAllMotif : public ApiMotif {
     int rank;
     int iter;
   };
+  enum Instrument { kRounds };
+  static constexpr const char* kInstruments[] = {"a2a.rounds"};
   void begin_round(int rank, int iter);
   void on_part(int rank, int iter, bool recv);
   void try_advance(int rank);

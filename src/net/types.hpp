@@ -69,9 +69,10 @@ struct Message {
 /// allocation per message. The simulation is single-threaded per engine,
 /// so the refcount is a plain integer, and Message slots recycle through a
 /// thread_local free list (same pattern as sim::CallbackBlockPool) — zero
-/// allocator traffic once the pool is warm. thread_local keeps sweep
-/// workers from sharing (and racing on) a pool; a packet never migrates
-/// off the thread its engine runs on.
+/// allocator traffic once the pool is warm, and the free slots go back to
+/// the allocator when the thread exits. thread_local keeps sweep workers
+/// from sharing (and racing on) a pool; a packet never migrates off the
+/// thread its engine runs on.
 class MsgRef {
  public:
   MsgRef() noexcept = default;
@@ -118,11 +119,22 @@ class MsgRef {
  private:
   explicit MsgRef(Message* m) noexcept : m_(m) {}
 
+  /// Free slots are destroyed Messages whose first word holds the next
+  /// free slot.
+  struct FreeList {
+    Message* head = nullptr;
+    ~FreeList() {
+      while (head != nullptr) {
+        Message* next = *reinterpret_cast<Message**>(head);
+        ::operator delete(static_cast<void*>(head));
+        head = next;
+      }
+    }
+  };
+
   static Message*& free_head() {
-    // Free slots thread the list through Message::src (reinterpreted);
-    // keep it simple with a parallel pointer stored in-place instead:
-    thread_local Message* head = nullptr;
-    return head;
+    thread_local FreeList list;
+    return list.head;
   }
   static Message* acquire_slot() {
     Message*& head = free_head();

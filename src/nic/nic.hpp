@@ -64,6 +64,8 @@ class Nic {
       const NicParams& params, obs::MetricsRegistry* metrics = nullptr);
 
   NodeId node() const { return node_; }
+  /// Nodes on this NIC's network; valid destinations are [0, num_nodes()).
+  int num_nodes() const { return network_.num_nodes(); }
   const NicParams& params() const { return params_; }
   sim::Engine& engine() { return engine_; }
   /// Registry this NIC records into — protocol endpoints layered on the

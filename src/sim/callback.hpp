@@ -19,10 +19,11 @@ namespace rvma::sim {
 namespace detail {
 
 /// Intrusive free list of fixed-size blocks for callables that do not fit
-/// inline. Blocks are never returned to the OS while the process runs —
-/// steady-state simulation reuses them with zero allocator traffic. The
-/// simulator is single-threaded per engine; thread_local keeps engines on
-/// different threads from sharing (and racing on) a pool.
+/// inline. A thread keeps its free blocks until it exits — steady-state
+/// simulation reuses them with zero allocator traffic — and then returns
+/// them to the allocator, so finished shard and sweep threads leak
+/// nothing. The simulator is single-threaded per engine; thread_local
+/// keeps engines on different threads from sharing (and racing on) a pool.
 class CallbackBlockPool {
  public:
   static constexpr std::size_t kBlockSize = 256;
@@ -44,9 +45,20 @@ class CallbackBlockPool {
   }
 
  private:
+  struct FreeList {
+    void* head = nullptr;
+    ~FreeList() {
+      while (head != nullptr) {
+        void* next = *static_cast<void**>(head);
+        ::operator delete(head);
+        head = next;
+      }
+    }
+  };
+
   static void*& free_head() {
-    thread_local void* head = nullptr;
-    return head;
+    thread_local FreeList list;
+    return list.head;
   }
 };
 

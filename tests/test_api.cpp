@@ -377,6 +377,234 @@ TEST_F(ApiTest, FinalizeOnWrappedEndpointDetachesState) {
   EXPECT_EQ(ep->completions(0xA000), 1u);
 }
 
+TEST_F(ApiTest, OutOfRangeProcIsRejected) {
+  // Destinations are [0, nodes) of the endpoint's network: anything else
+  // is RVMA_ERR_INVALID and nothing reaches the NIC. RVMA_ALL_PROCS is
+  // valid only for the flush calls.
+  std::vector<unsigned char> buf(64, 0x11);
+  EXPECT_EQ(rvma_put(a_, buf.data(), 5, 0x1000, 64), RVMA_ERR_INVALID);
+  EXPECT_EQ(rvma_put(a_, buf.data(), 2, 0x1000, 64), RVMA_ERR_INVALID);
+  EXPECT_EQ(rvma_put(a_, buf.data(), RVMA_ALL_PROCS, 0x1000, 64),
+            RVMA_ERR_INVALID);
+  EXPECT_EQ(rvma_put_offset(a_, buf.data(), 2, 0x1000, 0, 64),
+            RVMA_ERR_INVALID);
+  EXPECT_EQ(rvma_get(a_, 2, 0x1000, 64, buf.data()), RVMA_ERR_INVALID);
+  EXPECT_EQ(rvma_get_ex(a_, -3, 0x1000, 0, 64, buf.data(), 0, nullptr,
+                        nullptr),
+            RVMA_ERR_INVALID);
+  EXPECT_EQ(rvma_flush(a_, -5), RVMA_ERR_INVALID);
+  EXPECT_EQ(rvma_flush(a_, 2), RVMA_ERR_INVALID);
+  int fired = 0;
+  auto bump = [](void* arg) { ++*static_cast<int*>(arg); };
+  EXPECT_EQ(rvma_flush_wait(a_, 7, bump, &fired), RVMA_ERR_INVALID);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(rvma_flush(a_, RVMA_ALL_PROCS), RVMA_SUCCESS);
+  EXPECT_EQ(rvma_flush(a_, 1), RVMA_SUCCESS);
+
+  // A wrapped endpoint takes the node count from its own network.
+  rvma::core::RvmaEndpoint ep(cluster_.nic(0), rvma::core::RvmaParams{},
+                              /*pid=*/1);
+  rvma_ctx wrapped = rvma_wrap_endpoint(&ep);
+  ASSERT_NE(wrapped, nullptr);
+  EXPECT_EQ(rvma_put(wrapped, buf.data(), 2, 0x1000, 64), RVMA_ERR_INVALID);
+  EXPECT_EQ(rvma_flush(wrapped, 2), RVMA_ERR_INVALID);
+  rvma_finalize(wrapped);
+
+  cluster_.engine().run();
+  const auto counters = cluster_.collect_metrics().counters;
+  const auto sent = counters.find("nic.messages_sent");
+  EXPECT_TRUE(sent == counters.end() || sent->second == 0);
+}
+
+/// Records the firing order of rvma_flush_wait callbacks, and the flush
+/// state each one saw.
+struct FlushProbe {
+  std::vector<std::string>* log;
+  const char* name;
+  rvma_ctx ctx;
+};
+
+void log_flush(void* arg) {
+  auto* p = static_cast<FlushProbe*>(arg);
+  std::string entry = p->name;
+  for (int32_t proc : {1, 2, 3}) {
+    entry += rvma_flush(p->ctx, proc) == RVMA_SUCCESS ? " 1" : " 0";
+  }
+  p->log->push_back(entry);
+}
+
+TEST(ApiFlush, WaitersFirePerProcInRegistrationOrderThenAll) {
+  rvma::cluster::Cluster cluster(star(5), rvma::nic::NicParams{});
+  rvma_ctx ctx = rvma_initialize(&cluster, 0);
+  ASSERT_NE(ctx, nullptr);
+  // Targets: a catch-all with room for two puts on each of procs 1-3.
+  std::vector<rvma_ctx> targets;
+  std::vector<std::vector<unsigned char>> sinks(3);
+  for (int32_t proc = 1; proc <= 3; ++proc) {
+    rvma_ctx t = rvma_initialize(&cluster, proc);
+    rvma_win ca = rvma_init_catch_all(t, 4096, RVMA_EPOCH_BYTES);
+    ASSERT_NE(ca, nullptr);
+    std::vector<unsigned char>& sink =
+        sinks[static_cast<std::size_t>(proc - 1)];
+    sink.resize(2 * 4096);
+    ASSERT_EQ(rvma_post_buffer(ca, sink.data(), 4096, nullptr), RVMA_SUCCESS);
+    ASSERT_EQ(rvma_post_buffer(ca, sink.data() + 4096, 4096, nullptr),
+              RVMA_SUCCESS);
+    targets.push_back(t);
+  }
+  std::vector<unsigned char> payload(4096, 0x3C);
+  // Posts in order: proc 1, 2, 1, 3. Local completions arrive in post
+  // order, so proc 2 drains first, then proc 1, then proc 3 (and all).
+  ASSERT_EQ(rvma_put(ctx, payload.data(), 1, 0x10, 4096), RVMA_SUCCESS);
+  ASSERT_EQ(rvma_put(ctx, payload.data(), 2, 0x10, 4096), RVMA_SUCCESS);
+  ASSERT_EQ(rvma_put(ctx, payload.data(), 1, 0x10, 4096), RVMA_SUCCESS);
+  ASSERT_EQ(rvma_put(ctx, payload.data(), 3, 0x10, 4096), RVMA_SUCCESS);
+
+  std::vector<std::string> log;
+  FlushProbe all_a{&log, "all-a", ctx}, one_a{&log, "p1-a", ctx},
+      two{&log, "p2", ctx}, one_b{&log, "p1-b", ctx},
+      all_b{&log, "all-b", ctx};
+  EXPECT_EQ(rvma_flush_wait(ctx, RVMA_ALL_PROCS, log_flush, &all_a),
+            RVMA_ERR_PENDING);
+  EXPECT_EQ(rvma_flush_wait(ctx, 1, log_flush, &one_a), RVMA_ERR_PENDING);
+  EXPECT_EQ(rvma_flush_wait(ctx, 2, log_flush, &two), RVMA_ERR_PENDING);
+  EXPECT_EQ(rvma_flush_wait(ctx, 1, log_flush, &one_b), RVMA_ERR_PENDING);
+  EXPECT_EQ(rvma_flush_wait(ctx, RVMA_ALL_PROCS, log_flush, &all_b),
+            RVMA_ERR_PENDING);
+  // Never-used procs are flushed: one below and one above the highest
+  // proc this context has addressed.
+  EXPECT_EQ(rvma_flush(ctx, 0), RVMA_SUCCESS);
+  EXPECT_EQ(rvma_flush(ctx, 4), RVMA_SUCCESS);
+  EXPECT_TRUE(log.empty());
+
+  cluster.engine().run();
+  // Each entry: waiter name, then flush state of procs 1, 2, 3 when it
+  // fired (1 = drained).
+  const std::vector<std::string> expected = {
+      "p2 0 1 0", "p1-a 1 1 0", "p1-b 1 1 0", "all-a 1 1 1", "all-b 1 1 1"};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(rvma_flush(ctx, RVMA_ALL_PROCS), RVMA_SUCCESS);
+  EXPECT_EQ(sinks[0][4096], 0x3C);  // proc 1 took both of its puts
+  rvma_finalize(ctx);
+  for (rvma_ctx t : targets) rvma_finalize(t);
+}
+
+/// Counts observer calls (a rvma_notify_fn target).
+void count_notify(void* arg, void*, int64_t) { ++*static_cast<int*>(arg); }
+
+TEST_F(ApiTest, ObserverLifetimeOnWrappedEndpoint) {
+  // Three lifetime cases on one borrowed endpoint, then finalize: a freed
+  // handle's observer is gone but its completions still queue poll
+  // tokens; a released and re-initialised vaddr starts without an
+  // observer; and after finalize both windows complete without touching
+  // the dead context.
+  auto ep = std::make_unique<rvma::core::RvmaEndpoint>(
+      cluster_.nic(1), rvma::core::RvmaParams{});
+  rvma_ctx wrapped = rvma_wrap_endpoint(ep.get());
+  ASSERT_NE(wrapped, nullptr);
+  std::vector<unsigned char> payload(16, 0x5D);
+
+  // rvma_win_free, then a completion.
+  std::vector<unsigned char> freed_buf(32, 0);
+  rvma_win freed = rvma_init_window(wrapped, 0xB000, nullptr, 16,
+                                    RVMA_EPOCH_BYTES);
+  ASSERT_NE(freed, nullptr);
+  ASSERT_EQ(rvma_post_buffer(freed, freed_buf.data(), 16, nullptr),
+            RVMA_SUCCESS);
+  ASSERT_EQ(rvma_post_buffer(freed, freed_buf.data() + 16, 16, nullptr),
+            RVMA_SUCCESS);
+  int freed_calls = 0;
+  rvma_win_observe(freed, count_notify, &freed_calls);
+  rvma_win_free(freed);
+  ASSERT_EQ(rvma_put(a_, payload.data(), 1, 0xB000, 16), RVMA_SUCCESS);
+  cluster_.engine().run();
+  EXPECT_EQ(freed_calls, 0);
+  rvma_completion c{};
+  ASSERT_EQ(rvma_poll(wrapped, &c), 1);
+  EXPECT_EQ(c.virtual_addr, 0xB000u);
+  EXPECT_EQ(c.buf, freed_buf.data());
+  EXPECT_EQ(rvma_poll(wrapped, &c), 0);
+
+  // rvma_release, then the same vaddr again.
+  std::vector<unsigned char> re_buf(32, 0);
+  rvma_win first = rvma_init_window(wrapped, 0xC000, nullptr, 16,
+                                    RVMA_EPOCH_BYTES);
+  ASSERT_NE(first, nullptr);
+  int first_calls = 0;
+  rvma_win_observe(first, count_notify, &first_calls);
+  EXPECT_EQ(rvma_release(wrapped, first), RVMA_SUCCESS);
+  rvma_win again = rvma_init_window(wrapped, 0xC000, nullptr, 16,
+                                    RVMA_EPOCH_BYTES);
+  ASSERT_NE(again, nullptr);
+  ASSERT_EQ(rvma_post_buffer(again, re_buf.data(), 16, nullptr),
+            RVMA_SUCCESS);
+  ASSERT_EQ(rvma_post_buffer(again, re_buf.data() + 16, 16, nullptr),
+            RVMA_SUCCESS);
+  ASSERT_EQ(rvma_put(a_, payload.data(), 1, 0xC000, 16), RVMA_SUCCESS);
+  cluster_.engine().run();
+  EXPECT_EQ(first_calls, 0);
+  ASSERT_EQ(rvma_poll(wrapped, &c), 1);
+  EXPECT_EQ(c.virtual_addr, 0xC000u);
+  EXPECT_EQ(c.buf, re_buf.data());
+  rvma_win_free(again);
+
+  // Finalize: both windows stay live on `ep` and keep completing.
+  rvma_finalize(wrapped);
+  ASSERT_EQ(rvma_put(a_, payload.data(), 1, 0xB000, 16), RVMA_SUCCESS);
+  ASSERT_EQ(rvma_put(a_, payload.data(), 1, 0xC000, 16), RVMA_SUCCESS);
+  cluster_.engine().run();
+  EXPECT_EQ(ep->completions(0xB000), 2u);
+  EXPECT_EQ(ep->completions(0xC000), 2u);
+  EXPECT_EQ(freed_buf[16], 0x5D);
+  EXPECT_EQ(re_buf[16], 0x5D);
+  EXPECT_EQ(freed_calls, 0);
+}
+
+TEST_F(ApiTest, PollKeepsNewestCompletionsOldestFirst) {
+  // The poll queue holds the newest 1,024 completions, oldest first.
+  // Partial drains between the bursts make the ring grow while its head
+  // has moved, and the last burst overfills it so the oldest entries are
+  // overwritten.
+  constexpr int kBursts[] = {20, 30, 1500};
+  constexpr int kTotal = 20 + 30 + 1500;
+  std::vector<uint64_t> bufs(kTotal, 0);
+  rvma_win win = rvma_init_window(b_, 0xD000, nullptr, 8, RVMA_EPOCH_BYTES);
+  ASSERT_NE(win, nullptr);
+  for (uint64_t& b : bufs) {
+    ASSERT_EQ(rvma_post_buffer(win, &b, 8, nullptr), RVMA_SUCCESS);
+  }
+  const uint64_t word = 0x0123456789ABCDEFULL;
+  auto burst = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      ASSERT_EQ(rvma_put(a_, &word, 1, 0xD000, 8), RVMA_SUCCESS);
+    }
+    cluster_.engine().run();
+  };
+  // Expects exactly completions [first, last) in order, then an empty
+  // queue.
+  auto drain = [&](int first, int last) {
+    rvma_completion c{};
+    for (int i = first; i < last; ++i) {
+      ASSERT_EQ(rvma_poll(b_, &c), 1) << i;
+      EXPECT_EQ(c.buf, &bufs[static_cast<std::size_t>(i)]) << i;
+      EXPECT_EQ(c.len, 8);
+    }
+    EXPECT_EQ(rvma_poll(b_, &c), 0);
+  };
+  burst(kBursts[0]);
+  rvma_completion c{};
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_EQ(rvma_poll(b_, &c), 1);
+    EXPECT_EQ(c.buf, &bufs[static_cast<std::size_t>(i)]);
+  }
+  burst(kBursts[1]);
+  drain(5, 50);
+  burst(kBursts[2]);
+  EXPECT_EQ(rvma_win_completions(win), static_cast<uint64_t>(kTotal));
+  drain(kTotal - 1024, kTotal);
+  EXPECT_EQ(rvma_release(b_, win), RVMA_SUCCESS);
+}
+
 // ---- API-motif byte-identity gates -------------------------------------
 
 ScenarioSpec motif_spec(const std::string& motif, const std::string& topo) {

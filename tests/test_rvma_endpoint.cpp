@@ -417,5 +417,77 @@ TEST_F(RvmaTest, SendDoneCallbackFires) {
   EXPECT_GT(sent_at, 0u);
 }
 
+TEST(RvmaOpCounting, InterleavedSingleAndMultiPacketPuts) {
+  // Operation counting with 1-packet and 3-packet puts in one mailbox,
+  // with arrivals reordered: the receiver has one on-NIC counter, held by
+  // a blocker window when the first buffer is posted, so that buffer's
+  // packets pay the host-counter penalty. Once it completes, the next
+  // buffer takes the freed counter and a burst of small puts behind the
+  // boundary overtakes the ones still in the penalty. Every put counts
+  // once, and the op observer fires for each put that completes no
+  // buffer. Which puts are tracked per message must not move any of the
+  // pinned values.
+  cluster::Cluster cluster(star2(), nic::NicParams{});
+  RvmaParams params;
+  params.nic_counters = 1;
+  RvmaEndpoint sender(cluster.nic(0), RvmaParams{});
+  RvmaEndpoint receiver(cluster.nic(1), params);
+  constexpr std::uint64_t kVaddr = 0x700, kBlocker = 0x900;
+  constexpr std::uint64_t kSmall = 64, kLarge = 10000;  // 1 and 3 packets
+  receiver.init_window(kBlocker, 1, EpochType::kOps);
+  ASSERT_EQ(receiver.post_buffer_timing_only(kBlocker, 64), Status::kOk);
+  receiver.init_window(kVaddr, static_cast<std::int64_t>(kLarge + kSmall),
+                       EpochType::kBytes);
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_EQ(receiver.post_buffer_timing_only(kVaddr, 64 * 1024),
+              Status::kOk);
+  }
+  ASSERT_EQ(receiver.free_window(kBlocker), Status::kOk);
+  int op_calls = 0;
+  receiver.set_op_observer(kVaddr,
+                           [&](std::int64_t, std::uint64_t) { ++op_calls; });
+
+  // Large, small (the first buffer completes), a burst of 28 small puts
+  // straddling the counter switch, then large/small pairs.
+  std::vector<std::uint64_t> sizes = {kLarge, kSmall};
+  sizes.insert(sizes.end(), 28, kSmall);
+  for (int i = 0; i < 3; ++i) {
+    sizes.push_back(kLarge);
+    sizes.push_back(kSmall);
+  }
+  for (const std::uint64_t bytes : sizes) {
+    sender.put(1, kVaddr, 0, nullptr, bytes);
+  }
+  cluster.engine().run();
+
+  const obs::MetricsSnapshot m = cluster.collect_metrics();
+  EXPECT_EQ(m.counters.at("rvma.puts_received"), sizes.size());
+  EXPECT_EQ(m.counters.at("rvma.packets_received"), 4 * 3 + 32u);
+  EXPECT_EQ(receiver.stats().puts_received, sizes.size());
+  const obs::HistogramSnapshot& ooo =
+      m.histograms.at("rvma.mailbox_ooo_degree");
+  EXPECT_EQ(ooo.count, sizes.size());
+  EXPECT_EQ(ooo.sum, 376u);
+  EXPECT_EQ(ooo.max, 26u);
+  EXPECT_EQ(receiver.stats().host_counter_packets, 30u);
+  EXPECT_EQ(receiver.stats().completions, 4u);
+  EXPECT_EQ(op_calls, 32);  // 36 puts, 4 of them completed a buffer
+}
+
+TEST(RvmaEndpointDeathTest, CompletionObserverNeedsAMailbox) {
+  // The observer lives in the mailbox's LUT record: arming one for a
+  // vaddr without a mailbox is misuse and aborts, while clearing one is
+  // a no-op before init_window and after free_window alike.
+  cluster::Cluster cluster(star2(), nic::NicParams{});
+  RvmaEndpoint ep(cluster.nic(1), RvmaParams{});
+  ep.set_completion_observer(0xBAD, nullptr);
+  EXPECT_DEATH(ep.set_completion_observer(0xBAD, [](void*, std::int64_t) {}),
+               "has no mailbox");
+  ep.init_window(0xBAD, 8, EpochType::kBytes);
+  ep.set_completion_observer(0xBAD, [](void*, std::int64_t) {});
+  ASSERT_EQ(ep.free_window(0xBAD), Status::kOk);
+  ep.set_completion_observer(0xBAD, nullptr);
+}
+
 }  // namespace
 }  // namespace rvma::core

@@ -29,6 +29,10 @@
 # must need >= 1.5x fewer barrier rounds than the scalar ablation on the
 # 1024-rank sweep gate — a deterministic count, enforced on every host.
 #
+# The api row gates the rvma.h put/completion path: a steady-state
+# single-packet put into a catch-all window must allocate nothing — also
+# a count, enforced on every host.
+#
 # Usage: tools/run_bench.sh [build-dir]
 set -eu
 
@@ -50,6 +54,20 @@ if [ -f "$repo_root/BENCH_engine.json" ]; then
 fi
 
 "$build_dir/bench/engine_throughput" "$repo_root/BENCH_engine.json"
+
+# --- API allocation gate ------------------------------------------------
+api_allocs=$(sed -n 's/.*"api_allocs_per_message": \([0-9.]*\).*/\1/p' \
+  "$repo_root/BENCH_engine.json")
+if [ -z "$api_allocs" ]; then
+  echo "ERROR: api row missing from BENCH_engine.json" >&2
+  exit 1
+fi
+if ! awk -v a="$api_allocs" 'BEGIN { exit !(a <= 0) }'; then
+  echo "ERROR: rvma.h put path allocates: $api_allocs allocations per" \
+    "message (> 0.000)" >&2
+  exit 1
+fi
+echo "api allocation gate: $api_allocs allocations per message"
 
 # --- Fabric throughput regression gate ----------------------------------
 new_pps=$(sed -n 's/.*"fabric_packets_per_sec": \([0-9]*\).*/\1/p' \
