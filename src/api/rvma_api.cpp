@@ -553,12 +553,7 @@ void rvma_win_free(rvma_win win) {
 
 void rvma_sim_run(void* cluster) {
   if (cluster == nullptr) return;
-  auto* c = static_cast<rvma::cluster::Cluster*>(cluster);
-  if (c->sharded()) {
-    c->sharded_engine().run_windowed();
-  } else {
-    c->engine().run();
-  }
+  static_cast<rvma::cluster::Cluster*>(cluster)->run();
 }
 
 }  // extern "C"

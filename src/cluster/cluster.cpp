@@ -138,7 +138,7 @@ Cluster::Cluster(const net::NetworkConfig& net_config,
   }
 
   // Remaining shards: identical construction (same config, same seed)
-  // yields identical wiring and static route tables; each shard's fabric
+  // yields identical wiring and static routes; each shard's fabric
   // only ever arbitrates ports on its own switches.
   for (int s = 1; s < k; ++s) {
     shards_.push_back(std::make_unique<Shard>());
@@ -266,12 +266,19 @@ void Cluster::enable_sampling(Time period) {
   shards_[0]->engine.set_sampler(sampler_.get());
 }
 
-std::size_t Cluster::route_table_bytes() const {
-  std::size_t bytes = 0;
-  for (const auto& sh : shards_) {
-    bytes += sh->network->fabric().route_table_bytes();
+void Cluster::run(const std::function<bool()>& merged_until) {
+  if (!sharded()) {
+    shards_[0]->engine.run();
+    return;
   }
-  return bytes;
+  if (merged_until) sharded_.run_merged_until(merged_until);
+  sharded_.run_windowed();
+}
+
+std::uint64_t Cluster::events_executed() const {
+  std::uint64_t events = 0;
+  for (const auto& sh : shards_) events += sh->engine.executed_events();
+  return events;
 }
 
 net::FabricStats Cluster::fabric_stats() const {

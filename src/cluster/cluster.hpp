@@ -19,6 +19,7 @@
 // per-network RNG streams would diverge) or zero cross-shard lookahead.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -86,14 +87,19 @@ class Cluster {
     return lookahead_matrix_;
   }
 
+  /// Run the simulation to completion: shard 0's engine when serial, the
+  /// windowed shard loop when sharded. A sharded run first executes in
+  /// merged serial-emulation mode until `merged_until` returns true (for
+  /// set-up handshakes that ping-pong below any lookahead); an empty
+  /// predicate skips that phase.
+  void run(const std::function<bool()>& merged_until = {});
+
+  /// Events executed so far, summed over every shard's engine.
+  std::uint64_t events_executed() const;
+
   /// Whole-machine fabric view: counters summed across shards,
   /// max_port_backlog maxed. Equals network().fabric().stats() when serial.
   net::FabricStats fabric_stats() const;
-
-  /// Static-routing state resident bytes summed across shards (each shard
-  /// replicates the Network): 0 under algebraic routing, K * S * N * 4
-  /// under the materialized LUT ablation.
-  std::size_t route_table_bytes() const;
 
   /// The cluster-wide instrument registry every layer records into
   /// (shard 0's registry when sharded — use collect_metrics() for totals).

@@ -30,11 +30,7 @@ ApiMotifResult ApiMotif::run(cluster::Cluster& cluster) {
   for (int r = 0; r < ranks_; ++r) {
     cluster.engine_for(r).schedule(0, [this, r] { start(r); });
   }
-  if (cluster.sharded()) {
-    cluster.sharded_engine().run_windowed();
-  } else {
-    cluster.engine().run();
-  }
+  cluster.run();
   ApiMotifResult res;
   for (int r = 0; r < ranks_; ++r) {
     const auto i = static_cast<std::size_t>(r);

@@ -75,9 +75,6 @@ class ApiMotif {
     rank_ops_[static_cast<std::size_t>(rank)] += n;
   }
   void finish_rank(int rank);
-  bool finished(int rank) const {
-    return rank_done_[static_cast<std::size_t>(rank)] != 0;
-  }
 
  private:
   cluster::Cluster* cluster_ = nullptr;

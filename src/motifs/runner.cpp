@@ -137,26 +137,18 @@ MotifResult MotifRunner::run() {
     }
   });
 
-  if (!cluster_.sharded()) {
-    cluster_.engine().run();
-  } else {
-    // Setup handshakes ping-pong with zero-delay callbacks (below any
-    // lookahead), so they run in the merged serial-emulation mode; the
-    // steady-state motif then runs windowed in parallel.
-    sim::ShardedEngine& se = cluster_.sharded_engine();
-    se.run_merged_until([&setup_fired] { return setup_fired; });
-    assert(setup_fired && "transport setup never completed");
-    se.run_windowed();
-  }
+  // Setup handshakes ping-pong with zero-delay callbacks (below any
+  // lookahead), so a sharded run executes them in the merged
+  // serial-emulation mode; the steady-state motif then runs windowed.
+  cluster_.run([&setup_fired] { return setup_fired; });
+  assert(setup_fired && "transport setup never completed");
 
   for (std::size_t rank = 0; rank < ranks; ++rank) {
     assert(rank_done_[rank] && "motif deadlocked (rank still blocked)");
     result_.ops_executed += rank_ops_[rank];
     result_.makespan = std::max(result_.makespan, rank_finish_[rank]);
   }
-  for (int k = 0; k < cluster_.num_shards(); ++k) {
-    result_.engine_events += cluster_.engine_for_shard(k).executed_events();
-  }
+  result_.engine_events = cluster_.events_executed();
   result_.transport = transport_.stats();
   return result_;
 }

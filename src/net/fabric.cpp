@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "common/log.hpp"
+#include "net/topology.hpp"
 
 namespace rvma::net {
 
@@ -115,24 +116,6 @@ int Fabric::attach_node(int sw, NodeId node, LinkParams link) {
 void Fabric::set_delivery(NodeId node, Delivery fn) {
   assert(node >= 0 && node < static_cast<NodeId>(node_attach_.size()));
   node_attach_[node].delivery = std::move(fn);
-}
-
-void Fabric::set_static_routes(std::vector<std::int32_t> table) {
-  assert(table.empty() ||
-         table.size() == switches_.size() * node_attach_.size());
-  static_routes_ = std::move(table);
-  next_hop_fn_ = nullptr;
-  next_hop_ctx_ = nullptr;
-  static_mode_ = !static_routes_.empty();
-}
-
-void Fabric::set_algebraic_routes(NextHopFn fn, const void* ctx) {
-  assert(fn != nullptr);
-  static_routes_.clear();
-  static_routes_.shrink_to_fit();
-  next_hop_fn_ = fn;
-  next_hop_ctx_ = ctx;
-  static_mode_ = true;
 }
 
 void Fabric::set_shard_map(int my_shard,
@@ -263,11 +246,11 @@ void Fabric::arrive_at_switch(int sw, Packet&& pkt) {
   const NodeAttach& dst_at = node_attach_[pkt.dst];
   if (dst_at.sw == sw) {
     port = dst_at.port;  // ejection to the destination node
-  } else if (static_mode_) {
-    // Deterministic routing: O(1) coordinate arithmetic (or one flat-array
-    // load under the materialized LUT) instead of a std::function call
-    // into the topology's route logic per hop.
-    port = next_hop(sw, pkt.dst);
+  } else if (static_topology_ != nullptr) {
+    // Deterministic routing: one virtual call into O(1) coordinate
+    // arithmetic instead of a std::function call into the topology's
+    // route logic per hop.
+    port = static_topology_->static_next_hop(sw, pkt.dst);
     c_route_cache_hits_->inc();
     assert(port >= 0 && port < s.num_ports);
   } else {

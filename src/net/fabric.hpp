@@ -26,6 +26,8 @@
 
 namespace rvma::net {
 
+class Topology;
+
 struct LinkParams {
   Bandwidth bw = Bandwidth::gbps(100);
   Time latency = 100 * kNanosecond;  ///< propagation (wire/SerDes) delay
@@ -50,7 +52,7 @@ struct FabricStats {
   std::uint64_t total_hops = 0;
   std::uint64_t wire_bytes_delivered = 0;
   std::uint64_t packets_dropped_dead_node = 0;  ///< failure injection
-  /// Transit hops resolved from the precomputed static next-hop table
+  /// Transit hops resolved by the topology's static next-hop arithmetic
   /// instead of the routing callback (static routing only).
   std::uint64_t route_cache_hits = 0;
   Time max_port_backlog = 0;  ///< worst queue wait beyond the crossbar seen
@@ -98,35 +100,12 @@ class Fabric {
   void set_delivery(NodeId node, Delivery fn);
   void set_router(Router fn) { router_ = std::move(fn); }
 
-  /// O(1) algebraic next-hop resolver: returns the output (local) port at
-  /// `sw` for a transit packet to node `dst` (never called when dst's
-  /// switch == sw). Plain function pointer + context — not std::function —
-  /// so the per-hop dispatch is one indirect call with no capture storage.
-  using NextHopFn = int (*)(const void* ctx, int sw, NodeId dst);
-
-  /// Install the precomputed next-hop table for deterministic routing:
-  /// entry [sw * num_attached_nodes() + dst] is the output port at `sw`
-  /// for a transit packet to node `dst` (ejection switches excluded — the
-  /// fabric takes the ejection path before consulting routing). While a
-  /// table is installed, transit hops bypass the router_ std::function
-  /// call entirely; adaptive routing never installs one. Built by
-  /// Network after wiring (see Network ctor).
-  void set_static_routes(std::vector<std::int32_t> table);
-
-  /// Install an algebraic static resolver instead of a materialized table:
-  /// same routing semantics and identical simulation output, O(1) memory.
-  /// `ctx` must outlive the fabric's routing (Network owns both).
-  void set_algebraic_routes(NextHopFn fn, const void* ctx);
-
-  /// True when static next hops are resolvable without the router_
-  /// callback — either resolver form counts.
-  bool has_static_routes() const { return static_mode_; }
-
-  /// Resident bytes of static-routing state: the materialized LUT's
-  /// capacity, or 0 under the algebraic resolver. The paper-scale metric
-  /// BENCH_engine.json tracks (route-table memory, ISSUE 7).
-  std::size_t route_table_bytes() const {
-    return static_routes_.capacity() * sizeof(std::int32_t);
+  /// Deterministic routing: resolve every transit hop with `topology`'s
+  /// O(1) static_next_hop instead of the router_ callback. Adaptive
+  /// routing never installs one. `topology` must outlive the fabric's
+  /// routing (Network owns both).
+  void set_static_routing(const Topology* topology) {
+    static_topology_ = topology;
   }
 
   /// Shard this fabric: switches whose `shard_of_switch` entry differs
@@ -245,15 +224,6 @@ class Fabric {
     return static_cast<std::size_t>(switches_[sw].port_base + port);
   }
 
-  /// Static next hop (local port at `sw`) for a transit packet to `dst`:
-  /// O(1) arithmetic under the algebraic resolver, one array load under
-  /// the materialized LUT. Only valid while has_static_routes().
-  int next_hop(int sw, NodeId dst) const {
-    if (next_hop_fn_ != nullptr) return next_hop_fn_(next_hop_ctx_, sw, dst);
-    return static_routes_[static_cast<std::size_t>(sw) * node_attach_.size() +
-                          static_cast<std::size_t>(dst)];
-  }
-
   /// Per-packet injection accounting (counters, trace, flight-recorder
   /// span) plus the charge on `at`'s injection link; stamps injected_at
   /// and returns the packet's arrival time at its first switch.
@@ -275,16 +245,9 @@ class Fabric {
   std::vector<NodeId> port_peer_node_;      ///< -1 when the peer is a switch
   std::vector<NodeAttach> node_attach_;
   Router router_;
-  /// Flat (switch, dst) -> port table for static routing; empty when the
-  /// routing mode is adaptive (per-packet router_ calls) or the algebraic
-  /// resolver is installed.
-  std::vector<std::int32_t> static_routes_;
-  /// Algebraic static resolver; when set, next_hop() never touches the
-  /// materialized table.
-  NextHopFn next_hop_fn_ = nullptr;
-  const void* next_hop_ctx_ = nullptr;
-  /// True when either static resolver form is installed.
-  bool static_mode_ = false;
+  /// Static next-hop resolver; null under adaptive routing (per-packet
+  /// router_ calls).
+  const Topology* static_topology_ = nullptr;
   /// Sharding (empty when this fabric owns the whole topology): owning
   /// shard per switch, this fabric's shard id, and the handoff hook.
   std::vector<std::int32_t> shard_of_switch_;

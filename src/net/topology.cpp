@@ -23,10 +23,6 @@ std::string to_string(Routing routing) {
   return routing == Routing::kStatic ? "static" : "adaptive";
 }
 
-std::string to_string(RouteTable table) {
-  return table == RouteTable::kAlgebraic ? "algebraic" : "materialized";
-}
-
 std::unique_ptr<Topology> make_topology(const NetworkConfig& config) {
   switch (config.topology) {
     case TopologyKind::kStar:
@@ -104,40 +100,11 @@ Network::Network(sim::Engine& engine, const NetworkConfig& config,
   if (config_.routing == Routing::kStatic) {
     // Static routes depend only on (switch, dst) — every topology's
     // static mode is deterministic and consults neither the RNG nor
-    // per-packet state — so next hops can be resolved without the per-hop
-    // std::function dispatch. Every registered topology is regular enough
-    // that the next hop is pure O(1) arithmetic on (switch, dst)
-    // coordinates (static_next_hop); the materialized O(S*N) LUT is kept
-    // as an ablation and as the oracle test_routing_algebra checks the
-    // arithmetic against. Both modes produce bit-identical simulations.
-    if (config_.route_table == RouteTable::kAlgebraic &&
-        topology_->algebraic_routing()) {
-      // topology_ outlives fabric_ callbacks: both die with this Network,
-      // and the fabric never routes after destruction begins.
-      fabric_.set_algebraic_routes(
-          +[](const void* ctx, int sw, NodeId dst) {
-            return static_cast<const Topology*>(ctx)->static_next_hop(sw,
-                                                                      dst);
-          },
-          topology_.get());
-    } else {
-      const int switches = fabric_.num_switches();
-      const int nodes = num_nodes();
-      std::vector<std::int32_t> table(
-          static_cast<std::size_t>(switches) * static_cast<std::size_t>(nodes),
-          -1);
-      Packet probe;
-      for (NodeId dst = 0; dst < nodes; ++dst) {
-        probe.dst = dst;
-        const int dst_sw = fabric_.switch_of_node(dst);
-        for (int sw = 0; sw < switches; ++sw) {
-          if (sw == dst_sw) continue;  // ejection handled before routing
-          table[static_cast<std::size_t>(sw) * nodes + dst] = topology_->route(
-              fabric_, sw, probe, Routing::kStatic, rng_);
-        }
-      }
-      fabric_.set_static_routes(std::move(table));
-    }
+    // per-packet state — so each hop is O(1) arithmetic on (switch, dst)
+    // coordinates (static_next_hop) instead of the router_ std::function.
+    // topology_ outlives fabric_ routing: both die with this Network, and
+    // the fabric never routes after destruction begins.
+    fabric_.set_static_routing(topology_.get());
   }
 }
 

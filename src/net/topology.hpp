@@ -26,20 +26,12 @@ enum class Routing {
 
 enum class TopologyKind { kStar, kTorus3D, kFatTree, kDragonfly, kHyperX };
 
-/// How static next-hops are resolved on the fabric hot path.
-///
-/// Every registered topology is regular, so the static next hop is a pure
-/// O(1) function of (switch, dst) coordinates — no per-destination storage.
-/// kAlgebraic installs that function directly; kMaterialized precomputes
-/// the full O(switches x nodes) int32 LUT (the pre-PR-7 behavior), kept as
-/// an ablation and as the oracle the algebraic routers are tested against.
-/// Simulation results are bit-identical either way (DESIGN.md §13); only
-/// memory footprint and construction time move.
+/// Unread; kept until perfbench stops setting NetworkConfig::route_table.
+/// Static next hops are always Topology::static_next_hop (DESIGN.md §13).
 enum class RouteTable { kAlgebraic, kMaterialized };
 
 std::string to_string(TopologyKind kind);
 std::string to_string(Routing routing);
-std::string to_string(RouteTable table);
 
 struct NetworkConfig {
   TopologyKind topology = TopologyKind::kStar;
@@ -75,8 +67,7 @@ struct NetworkConfig {
 
   bool express = true;  ///< Unread; kept until perfbench stops setting it.
 
-  /// Static next-hop resolution strategy (ignored under adaptive routing).
-  RouteTable route_table = RouteTable::kAlgebraic;
+  RouteTable route_table = RouteTable::kAlgebraic;  ///< Unread, like express.
 };
 
 /// Exact element counts a topology will create in build(), so Fabric can
@@ -102,18 +93,10 @@ class Topology {
                     Rng& rng) = 0;
 
   /// O(1) static next hop for a transit packet at `sw` headed to `dst`
-  /// (dst's switch != sw). Must agree with route(..., kStatic, ...) on
-  /// every reachable (sw, dst) pair — test_routing_algebra checks this
-  /// against the materialized LUT oracle. Only consulted when
-  /// algebraic_routing() is true.
-  virtual int static_next_hop(int sw, NodeId dst) const {
-    (void)sw;
-    (void)dst;
-    return -1;
-  }
-
-  /// True when static_next_hop implements this topology's static routing.
-  virtual bool algebraic_routing() const { return false; }
+  /// (dst's switch != sw): the fabric's per-hop resolver under static
+  /// routing. Must agree with route(..., kStatic, ...) on every reachable
+  /// (sw, dst) pair — test_routing_algebra checks this against route().
+  virtual int static_next_hop(int sw, NodeId dst) const = 0;
 
   /// True when route() draws from the Network's RNG under `mode`. Every
   /// other routing decision reads only the current switch's port backlogs,

@@ -103,12 +103,16 @@ bool run_grid(const GridSpec& grid, int jobs, std::vector<GridCell>* out,
     if (!resolve_topo_case(name, &tc, error)) return false;
     cases.push_back(std::move(tc));
   }
-  // Fail before fanning out: one representative cell half per protocol
-  // resolves every registry name the workers will touch.
-  for (const bool use_rvma : {false, true}) {
-    if (!validate_scenario(expand_cell(grid, cases[0], 0, 0, use_rvma),
-                           error)) {
-      return false;
+  // Fail before fanning out: one cell half per (case, protocol) resolves
+  // every registry name the workers will touch, and checks the motif
+  // against each case's machine (every topology rounds the node count
+  // its own way).
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    for (const bool use_rvma : {false, true}) {
+      if (!validate_scenario(expand_cell(grid, cases[c], c, 0, use_rvma),
+                             error)) {
+        return false;
+      }
     }
   }
 
@@ -339,13 +343,6 @@ int run_figure_cli(GridSpec grid, int argc, char** argv) {
       cli.get_int("seed", static_cast<std::int64_t>(grid.base.seed)));
   grid.base.par_shards =
       static_cast<int>(cli.get_int("par-shards", grid.base.par_shards));
-  grid.base.route_table = cli.get("route-table", grid.base.route_table);
-  if (grid.base.route_table != "algebraic" &&
-      grid.base.route_table != "materialized") {
-    std::fprintf(stderr, "bad --route-table \"%s\" (want algebraic|materialized)\n",
-                 grid.base.route_table.c_str());
-    return 2;
-  }
   // Comma-list overlays narrow the sweep without editing the document —
   // --cases=torus3d-static,fattree-static --gbps=100,2000. Case names are
   // validated by resolve_topo_case before any cell runs.

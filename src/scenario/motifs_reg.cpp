@@ -5,6 +5,7 @@
 // defaults. Process-grid shapes left unset derive from the rank count the
 // same way the figure benches always have (near-cubic for halo3d,
 // near-square for sweep3d), so `--nodes` alone scales a scenario.
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -37,6 +38,14 @@ bool finish_params(ParamReader& reader, const std::string& motif,
   return true;
 }
 
+/// Shared failure for program builders: an empty program list plus a
+/// message naming the motif.
+std::vector<motifs::RankProgram> reject(std::string* error,
+                                        const char* message) {
+  if (error != nullptr) *error = message;
+  return {};
+}
+
 std::vector<motifs::RankProgram> build_halo3d_spec(const ScenarioSpec& spec,
                                                    std::string* error) {
   ParamReader reader(spec.motif_params);
@@ -56,6 +65,12 @@ std::vector<motifs::RankProgram> build_halo3d_spec(const ScenarioSpec& spec,
   cfg.compute_per_cell =
       reader.get_duration("compute_per_cell", cfg.compute_per_cell);
   if (!finish_params(reader, "halo3d", error)) return {};
+  const int smallest =
+      std::min({cfg.px, cfg.py, cfg.pz, cfg.nx, cfg.ny, cfg.nz, cfg.vars});
+  if (smallest < 1) {
+    return reject(error,
+                  "halo3d: px, py, pz, nx, ny, nz and vars must be >= 1");
+  }
   return motifs::build_halo3d(cfg);
 }
 
@@ -67,7 +82,8 @@ std::vector<motifs::RankProgram> build_sweep3d_spec(const ScenarioSpec& spec,
   const int pex_default =
       std::max(1, static_cast<int>(std::sqrt(spec.nodes)));
   cfg.pex = reader.get_int("pex", pex_default);
-  cfg.pey = reader.get_int("pey", std::max(1, spec.nodes / cfg.pex));
+  cfg.pey =
+      reader.get_int("pey", std::max(1, spec.nodes / std::max(1, cfg.pex)));
   cfg.nx = reader.get_int("nx", cfg.nx);
   cfg.ny = reader.get_int("ny", cfg.ny);
   cfg.nz = reader.get_int("nz", cfg.nz);
@@ -76,6 +92,12 @@ std::vector<motifs::RankProgram> build_sweep3d_spec(const ScenarioSpec& spec,
   cfg.compute_per_cell =
       reader.get_duration("compute_per_cell", cfg.compute_per_cell);
   if (!finish_params(reader, "sweep3d", error)) return {};
+  const int smallest = std::min(
+      {cfg.pex, cfg.pey, cfg.nx, cfg.ny, cfg.nz, cfg.kba, cfg.vars});
+  if (smallest < 1) {
+    return reject(error,
+                  "sweep3d: pex, pey, nx, ny, nz, kba and vars must be >= 1");
+  }
   return motifs::build_sweep3d(cfg);
 }
 
@@ -90,6 +112,7 @@ std::vector<motifs::RankProgram> build_incast_spec(const ScenarioSpec& spec,
   cfg.client_compute =
       reader.get_duration("client_compute", cfg.client_compute);
   if (!finish_params(reader, "incast", error)) return {};
+  if (cfg.clients < 1) return reject(error, "incast: clients must be >= 1");
   return motifs::build_incast(cfg);
 }
 
@@ -126,6 +149,8 @@ std::vector<motifs::RankProgram> build_broadcast_spec(
   cfg.bytes = reader.get_size("bytes", cfg.bytes);
   cfg.iterations = reader.get_int("iterations", cfg.iterations);
   if (!finish_params(reader, "broadcast", error)) return {};
+  if (cfg.root < 0 || cfg.root >= spec.nodes)
+    return reject(error, "broadcast: root must be in [0, nodes)");
   return motifs::build_broadcast(cfg);
 }
 

@@ -2,9 +2,12 @@
 
 #include <chrono>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/rss.hpp"
 #include "motifs/runner.hpp"
+#include "net/topology.hpp"
 #include "scenario/registry.hpp"
 
 namespace rvma::scenario {
@@ -40,15 +43,6 @@ bool resolve(const ScenarioSpec& spec, net::NetworkConfig* cfg,
   cfg->xbar_factor = spec.xbar_factor;
   cfg->concentration = spec.concentration;
   cfg->seed = spec.seed;
-  // Spec validation already constrains the string to these two values;
-  // anything else is a programming error upstream, so fail loudly here too.
-  if (spec.route_table == "materialized") {
-    cfg->route_table = net::RouteTable::kMaterialized;
-  } else if (spec.route_table == "algebraic") {
-    cfg->route_table = net::RouteTable::kAlgebraic;
-  } else {
-    return fail("unknown route_table \"" + spec.route_table + "\"");
-  }
   return true;
 }
 
@@ -67,9 +61,34 @@ bool validate_scenario(const ScenarioSpec& spec, std::string* error) {
     }
     return true;
   }
-  if (motif->build(spec, &build_error).empty() && !build_error.empty()) {
+  const std::vector<motifs::RankProgram> programs =
+      motif->build(spec, &build_error);
+  if (programs.empty() && !build_error.empty()) {
     if (error != nullptr) *error = build_error;
     return false;
+  }
+  // The run places rank r on node r of the topology the Cluster builds,
+  // which rounds the node count up to its natural size.
+  const int machine = net::make_topology(cfg)->num_nodes();
+  if (static_cast<int>(programs.size()) > machine) {
+    if (error != nullptr)
+      *error = spec.motif + ": " + std::to_string(programs.size()) +
+               " ranks but the " + spec.topology + " machine has " +
+               std::to_string(machine) + " nodes";
+    return false;
+  }
+  // No transport completes a 0-byte message: RVMA's counted completion
+  // never fires and RDMA's last-byte poll has no byte to watch.
+  for (std::size_t rank = 0; rank < programs.size(); ++rank) {
+    for (const motifs::Op& op : programs[rank].stored()) {
+      if (op.kind == motifs::Op::Kind::kSend && op.bytes == 0) {
+        if (error != nullptr)
+          *error = spec.motif + ": rank " + std::to_string(rank) +
+                   " sends a 0-byte message to rank " +
+                   std::to_string(op.peer);
+        return false;
+      }
+    }
   }
   return true;
 }
@@ -122,9 +141,7 @@ bool run_scenario(const ScenarioSpec& spec, ScenarioResult* out,
     const motifs::ApiMotifResult result = api_motif->run(cluster);
     t_sim1 = std::chrono::steady_clock::now();
     makespan = result.makespan;
-    for (int k = 0; k < cluster.num_shards(); ++k) {
-      engine_events += cluster.engine_for_shard(k).executed_events();
-    }
+    engine_events = cluster.events_executed();
   } else {
     auto programs = motif_entry->build(spec, &build_error);
     if (programs.empty() && !build_error.empty()) {
@@ -168,7 +185,6 @@ bool run_scenario(const ScenarioSpec& spec, ScenarioResult* out,
     };
     timing->construct_wall_s = secs(t_build0, t_build1);
     timing->sim_wall_s = secs(t_sim0, t_sim1);
-    timing->route_table_bytes = cluster.route_table_bytes();
     timing->peak_rss_bytes = rvma::peak_rss_bytes();
   }
 

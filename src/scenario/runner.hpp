@@ -40,10 +40,9 @@ struct ScenarioResult {
 /// defaulted operator== anchors the jobs=N vs jobs=1 and shards=K vs
 /// serial byte-identity gates.
 struct RunTiming {
-  double construct_wall_s = 0;  ///< Cluster build (topology + routes + NICs)
-  double sim_wall_s = 0;        ///< motif execution only
-  std::size_t route_table_bytes = 0;  ///< resident static-route bytes, all shards
-  std::size_t peak_rss_bytes = 0;     ///< process VmHWM after the run
+  double construct_wall_s = 0;     ///< Cluster build (topology + NICs)
+  double sim_wall_s = 0;           ///< motif execution only
+  std::size_t peak_rss_bytes = 0;  ///< process VmHWM after the run
 };
 
 /// Resolve every registry name in `spec` and build the motif programs

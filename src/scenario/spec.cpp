@@ -1,6 +1,7 @@
 #include "scenario/spec.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 
 #include "obs/json.hpp"
@@ -19,6 +20,11 @@ std::string shortest_double(double v) {
   // stable ("1.5" stays "1.5", "2" stays "2").
   return s;
 }
+
+/// Link rates must be positive and finite: Bandwidth::serialize charges
+/// nothing at a rate <= 0, so a zero bandwidth or crossbar factor would
+/// read as a faster network instead of failing.
+bool positive_rate(double v) { return v > 0 && std::isfinite(v); }
 
 void append_quoted(std::string* out, const std::string& s) {
   obs::json_append_escaped(out, s);
@@ -59,15 +65,11 @@ void append_spec_object(std::string* out, const ScenarioSpec& spec,
       .append(",\n");
   out->append(in3).append("\"concentration\": ")
       .append(std::to_string(spec.concentration));
-  // Default-valued long_link_latency and route_table are omitted so
-  // pre-existing specs (and their golden bytes) round-trip unchanged.
+  // Default-valued long_link_latency is omitted so pre-existing specs
+  // (and their golden bytes) round-trip unchanged.
   if (spec.long_link_latency != 0) {
     out->append(",\n").append(in3).append("\"long_link_latency\": ");
     append_quoted(out, canonical_duration(spec.long_link_latency));
-  }
-  if (spec.route_table != "algebraic") {
-    out->append(",\n").append(in3).append("\"route_table\": ");
-    append_quoted(out, spec.route_table);
   }
   out->append("\n");
   out->append(in2).append("},\n");
@@ -119,7 +121,7 @@ void append_spec_object(std::string* out, const ScenarioSpec& spec,
     out->append(",\n").append(in2).append("\"metrics\": ");
     append_quoted(out, spec.metrics_path);
   }
-  // Like route_table/par_shards: output fields default to off and are
+  // Like par_shards: output fields default to off and are
   // omitted then, keeping pre-existing specs' golden bytes unchanged.
   if (!spec.flight_recorder_path.empty()) {
     out->append(",\n").append(in2).append("\"flight_recorder\": ");
@@ -155,8 +157,10 @@ bool parse_spec_object(const obs::JsonValue& root, ScenarioSpec* out,
     if (const auto* v = topo->find("nodes"))
       spec.nodes = static_cast<int>(v->as_i64(spec.nodes));
     if (const auto* v = topo->find("link_bandwidth")) {
-      if (!parse_bandwidth(v->string, &spec.link_bandwidth))
-        return fail("scenario: bad link_bandwidth \"" + v->string + "\"");
+      if (!parse_bandwidth(v->string, &spec.link_bandwidth) ||
+          !positive_rate(spec.link_bandwidth.bits_per_sec))
+        return fail("scenario: bad link_bandwidth \"" + v->string +
+                    "\" (must be > 0)");
     }
     if (const auto* v = topo->find("link_latency")) {
       if (!parse_duration(v->string, &spec.link_latency))
@@ -170,15 +174,13 @@ bool parse_spec_object(const obs::JsonValue& root, ScenarioSpec* out,
       if (!parse_duration(v->string, &spec.switch_latency))
         return fail("scenario: bad switch_latency \"" + v->string + "\"");
     }
-    if (const auto* v = topo->find("xbar_factor"))
+    if (const auto* v = topo->find("xbar_factor")) {
       spec.xbar_factor = v->as_double(spec.xbar_factor);
+      if (!positive_rate(spec.xbar_factor))
+        return fail("scenario: xbar_factor must be > 0");
+    }
     if (const auto* v = topo->find("concentration"))
       spec.concentration = static_cast<int>(v->as_i64(spec.concentration));
-    if (const auto* v = topo->find("route_table")) {
-      spec.route_table = v->string;
-      if (spec.route_table != "algebraic" && spec.route_table != "materialized")
-        return fail("scenario: bad route_table \"" + spec.route_table + "\"");
-    }
   }
   const auto* transport = root.find("transport");
   if (transport != nullptr) {
@@ -304,7 +306,13 @@ bool grid_from_json(const std::string& text, GridSpec* out,
   }
   if (const auto* v = root.find("gbps")) {
     grid.gbps.clear();
-    for (const auto& item : v->array) grid.gbps.push_back(item.as_double());
+    for (const auto& item : v->array) {
+      grid.gbps.push_back(item.as_double());
+      if (!positive_rate(grid.gbps.back())) {
+        if (error != nullptr) *error = "grid: gbps entries must be > 0";
+        return false;
+      }
+    }
   }
   const auto* base = root.find("base");
   if (base == nullptr) {
@@ -336,8 +344,9 @@ bool apply_cli_overlay(const Cli& cli, ScenarioSpec* spec,
   spec->nodes = static_cast<int>(cli.get_int("nodes", spec->nodes));
   if (cli.has("bandwidth")) {
     const std::string text = cli.get("bandwidth", "");
-    if (!parse_bandwidth(text, &spec->link_bandwidth))
-      return fail("bad --bandwidth \"" + text + "\"");
+    if (!parse_bandwidth(text, &spec->link_bandwidth) ||
+        !positive_rate(spec->link_bandwidth.bits_per_sec))
+      return fail("bad --bandwidth \"" + text + "\" (must be > 0)");
   }
   if (cli.has("link-latency")) {
     const std::string text = cli.get("link-latency", "");
@@ -355,12 +364,10 @@ bool apply_cli_overlay(const Cli& cli, ScenarioSpec* spec,
       return fail("bad --switch-latency \"" + text + "\"");
   }
   spec->xbar_factor = cli.get_double("xbar-factor", spec->xbar_factor);
+  if (!positive_rate(spec->xbar_factor))
+    return fail("bad --xbar-factor (must be > 0)");
   spec->concentration =
       static_cast<int>(cli.get_int("concentration", spec->concentration));
-  spec->route_table = cli.get("route-table", spec->route_table);
-  if (spec->route_table != "algebraic" && spec->route_table != "materialized")
-    return fail("bad --route-table \"" + spec->route_table +
-                "\" (want algebraic|materialized)");
   spec->transport = cli.get("transport", spec->transport);
   spec->rdma_slots =
       static_cast<int>(cli.get_int("rdma-slots", spec->rdma_slots));

@@ -45,11 +45,7 @@ struct ScenarioSpec {
   double xbar_factor = 1.5;  ///< crossbar bw = factor * link bw (paper §V-B1)
   int concentration = 1;     ///< endpoints per switch where applicable
   bool express = true;  ///< Unread; kept until perfbench stops setting it.
-  /// Static next-hop resolution: "algebraic" (O(1) coordinate arithmetic,
-  /// zero route-table bytes) or "materialized" (the full O(S*N) LUT
-  /// ablation). Results are bit-identical either way; only memory and
-  /// construction time move. Ignored under adaptive routing.
-  std::string route_table = "algebraic";
+  std::string route_table = "algebraic";  ///< Unread, like express.
 
   // ---- transport ----
   std::string transport = "rvma";  ///< TransportRegistry key
@@ -130,7 +126,7 @@ bool looks_like_grid(const std::string& text);
 /// Overlay CLI flags onto `spec`: --name, --topology, --routing, --nodes,
 /// --bandwidth, --link-latency, --long-link-latency, --switch-latency,
 /// --xbar-factor,
-/// --concentration, --route-table, --transport,
+/// --concentration, --transport,
 /// --rdma-slots, --doorbell-batch, --motif, --motif.<param>=<value>,
 /// --seed, --par-shards,
 /// --sample-period, --metrics, --flight-recorder,

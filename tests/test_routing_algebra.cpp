@@ -1,22 +1,16 @@
 // Algebraic-routing equivalence: the O(1) coordinate arithmetic in
-// static_next_hop must agree with route(kStatic) — the oracle that builds
-// the materialized LUT — for every topology, every switch, and every
-// destination. Exhaustive up to 256 nodes, splitmix64-sampled at the
-// 4,096- and 8,192-node paper scales, plus the end-to-end gate: a fig8
-// mini-grid is bit-identical under algebraic and materialized route
-// tables at jobs=1, jobs=4, and par_shards=2.
+// static_next_hop — the fabric's only static resolver — must agree with
+// route(kStatic), the reference implementation, for every topology, every
+// switch, and every destination. Exhaustive up to 256 nodes,
+// splitmix64-sampled at the 4,096- and 8,192-node paper scales.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "net/topologies.hpp"
 #include "net/topology.hpp"
-#include "scenario/figure_grid.hpp"
-#include "scenario/spec.hpp"
 #include "sim/engine.hpp"
 
 namespace rvma::net {
@@ -114,76 +108,5 @@ TEST(RoutingAlgebra, SampledPaperScale) {
   check_sampled(config_for(TopologyKind::kDragonfly, 8192, 1), kSamples);
 }
 
-TEST(RoutingAlgebra, RouteTableBytes) {
-  // Algebraic mode keeps zero resident route-table bytes; the materialized
-  // ablation pays the full S*N*4. Both build the same wiring.
-  sim::Engine e1, e2;
-  NetworkConfig cfg = config_for(TopologyKind::kTorus3D, 512, 1);
-  Network algebraic(e1, cfg);
-  EXPECT_EQ(algebraic.fabric().route_table_bytes(), 0u);
-  EXPECT_TRUE(algebraic.fabric().has_static_routes());
-
-  cfg.route_table = RouteTable::kMaterialized;
-  Network materialized(e2, cfg);
-  const std::size_t switches =
-      static_cast<std::size_t>(materialized.fabric().num_switches());
-  const std::size_t nodes =
-      static_cast<std::size_t>(materialized.num_nodes());
-  EXPECT_EQ(materialized.fabric().route_table_bytes(),
-            switches * nodes * sizeof(std::int32_t));
-  EXPECT_TRUE(materialized.fabric().has_static_routes());
-}
-
 }  // namespace
 }  // namespace rvma::net
-
-namespace rvma::scenario {
-namespace {
-
-GridSpec mini_grid(const std::string& route_table, int par_shards) {
-  GridSpec grid;
-  grid.figure = "test";
-  grid.motif_label = "Halo3D";
-  grid.base.nodes = 8;
-  grid.base.motif = "halo3d";
-  grid.base.motif_params = {{"nx", "8"},    {"ny", "8"},
-                            {"nz", "8"},    {"vars", "2"},
-                            {"iterations", "2"}, {"compute_per_cell", "50ps"}};
-  grid.base.route_table = route_table;
-  grid.base.par_shards = par_shards;
-  grid.gbps = {100, 400};
-  grid.cases = {"torus3d-static", "torus3d-adaptive", "fattree-static"};
-  return grid;
-}
-
-void expect_grids_equal(const GridSpec& a, int jobs_a, const GridSpec& b,
-                        int jobs_b) {
-  std::vector<GridCell> cells_a, cells_b;
-  std::string error;
-  ASSERT_TRUE(run_grid(a, jobs_a, &cells_a, &error)) << error;
-  ASSERT_TRUE(run_grid(b, jobs_b, &cells_b, &error)) << error;
-  ASSERT_EQ(cells_a.size(), cells_b.size());
-  for (std::size_t i = 0; i < cells_a.size(); ++i) {
-    EXPECT_EQ(cells_a[i], cells_b[i]) << "cell " << i;
-    EXPECT_GT(cells_a[i].rvma.packets_delivered, 0u) << "cell " << i;
-  }
-}
-
-TEST(RoutingAlgebra, Fig8GridIdenticalUnderMaterializedLut) {
-  // The ablation axis: algebraic vs materialized must not move a single
-  // simulated quantity, serial or fanned out.
-  expect_grids_equal(mini_grid("algebraic", 1), 1, mini_grid("materialized", 1),
-                     1);
-  expect_grids_equal(mini_grid("algebraic", 1), 4, mini_grid("materialized", 1),
-                     4);
-}
-
-TEST(RoutingAlgebra, Fig8GridIdenticalUnderShardedMaterializedLut) {
-  // Cross the ablation with PDES sharding: materialized shards replicate
-  // the LUT per shard, algebraic shards share nothing — same bytes out.
-  expect_grids_equal(mini_grid("algebraic", 2), 1, mini_grid("materialized", 2),
-                     1);
-}
-
-}  // namespace
-}  // namespace rvma::scenario

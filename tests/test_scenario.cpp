@@ -11,6 +11,8 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "scenario/figure_grid.hpp"
@@ -65,21 +67,25 @@ TEST(ScenarioSpecJson, RoundTripIsByteStable) {
   }
 }
 
-TEST(ScenarioSpecJson, RemovedExpressKeyIsIgnored) {
-  // Documents written before the express fast path was removed carry an
-  // "express" key under "topology": it still parses, changes nothing, and
-  // is never written back.
-  std::string text = to_json(full_spec());
-  const std::string needle = "\"concentration\": 4";
-  const auto pos = text.find(needle);
-  ASSERT_NE(pos, std::string::npos);
-  text.insert(pos + needle.size(), ",\n      \"express\": false");
-  ScenarioSpec parsed;
-  std::string error;
-  ASSERT_TRUE(spec_from_json(text, &parsed, &error)) << error;
-  EXPECT_EQ(parsed, full_spec());
-  EXPECT_EQ(to_json(parsed).find("express"), std::string::npos);
-  EXPECT_EQ(to_json(ScenarioSpec{}).find("express"), std::string::npos);
+TEST(ScenarioSpecJson, RemovedTopologyKeysAreIgnored) {
+  // Documents written before the express fast path and the materialized
+  // route table were removed carry "express" / "route_table" keys under
+  // "topology": they still parse, change nothing, and are never written
+  // back.
+  for (const char* key : {"express", "route_table"}) {
+    std::string text = to_json(full_spec());
+    const std::string needle = "\"concentration\": 4";
+    const auto pos = text.find(needle);
+    ASSERT_NE(pos, std::string::npos);
+    text.insert(pos + needle.size(),
+                std::string(",\n      \"") + key + "\": \"materialized\"");
+    ScenarioSpec parsed;
+    std::string error;
+    ASSERT_TRUE(spec_from_json(text, &parsed, &error)) << key << ": " << error;
+    EXPECT_EQ(parsed, full_spec()) << key;
+    EXPECT_EQ(to_json(parsed).find(key), std::string::npos);
+    EXPECT_EQ(to_json(ScenarioSpec{}).find(key), std::string::npos);
+  }
 }
 
 TEST(ScenarioSpecJson, GridRoundTripIsByteStable) {
@@ -118,6 +124,34 @@ TEST(ScenarioSpecJson, RejectsBadDocuments) {
   text.replace(pos, needle.size(), "\"link_bandwidth\": \"100 knots\"");
   EXPECT_FALSE(spec_from_json(text, &spec, &error));
   EXPECT_NE(error.find("link_bandwidth"), std::string::npos);
+  // A zero link rate or crossbar factor would serialize in no time and
+  // read as a faster network; scenario and grid-base documents refuse
+  // them, and so does a grid's speed list.
+  const auto with = [](std::string doc, const std::string& from,
+                       const std::string& to) {
+    const auto at = doc.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return doc.replace(at, from.size(), to);
+  };
+  const std::string scenario = to_json(ScenarioSpec{});
+  GridSpec bad_grid;
+  bad_grid.gbps = {100, 2000};
+  const std::string grid_doc = to_json(bad_grid);
+  for (const auto& [from, to, field] :
+       std::vector<std::tuple<std::string, std::string, std::string>>{
+           {needle, "\"link_bandwidth\": \"0Gbps\"", "link_bandwidth"},
+           {"\"xbar_factor\": 1.5", "\"xbar_factor\": 0", "xbar_factor"},
+           {"\"xbar_factor\": 1.5", "\"xbar_factor\": -1", "xbar_factor"}}) {
+    EXPECT_FALSE(spec_from_json(with(scenario, from, to), &spec, &error))
+        << to;
+    EXPECT_NE(error.find(field), std::string::npos) << error;
+    EXPECT_FALSE(grid_from_json(with(grid_doc, from, to), &grid, &error))
+        << to;
+    EXPECT_NE(error.find(field), std::string::npos) << error;
+  }
+  EXPECT_FALSE(grid_from_json(with(grid_doc, "[100, 2000]", "[100, 0]"),
+                              &grid, &error));
+  EXPECT_NE(error.find("gbps"), std::string::npos) << error;
 }
 
 TEST(ScenarioCliOverlay, FlagsWinOverFileValues) {
@@ -156,11 +190,20 @@ TEST(ScenarioCliOverlay, FlagsWinOverFileValues) {
   EXPECT_EQ(spec.rdma_slots, 4);
   EXPECT_EQ(spec.motif, "sweep3d");
 
-  // Bad unit values are rejected with the flag named.
-  const char* bad[] = {"prog", "--bandwidth=fast"};
-  Cli bad_cli(2, bad);
-  EXPECT_FALSE(apply_cli_overlay(bad_cli, &spec, &error));
-  EXPECT_NE(error.find("bandwidth"), std::string::npos);
+  // Bad unit values and non-positive link rates are rejected with the
+  // flag named.
+  for (const auto& [flag, name] :
+       std::vector<std::pair<const char*, const char*>>{
+           {"--bandwidth=fast", "bandwidth"},
+           {"--bandwidth=0Gbps", "bandwidth"},
+           {"--xbar-factor=0", "xbar-factor"},
+           {"--xbar-factor=-1", "xbar-factor"}}) {
+    const char* bad[] = {"prog", flag};
+    Cli bad_cli(2, bad);
+    ScenarioSpec untouched = full_spec();
+    EXPECT_FALSE(apply_cli_overlay(bad_cli, &untouched, &error)) << flag;
+    EXPECT_NE(error.find(name), std::string::npos) << flag << ": " << error;
+  }
 }
 
 TEST(ScenarioValidate, RejectsUnknownNamesAndParams) {
@@ -192,6 +235,53 @@ TEST(ScenarioValidate, RejectsUnknownNamesAndParams) {
   bad_value.motif_params["iterations"] = "lots";
   EXPECT_FALSE(validate_scenario(bad_value, &error));
   EXPECT_NE(error.find("iterations"), std::string::npos);
+
+  // Parameters that parse but cannot run, each rejected with a message
+  // naming the motif: zero or negative extents (SIGFPE,
+  // std::length_error), a broadcast root outside the machine, more ranks
+  // than the machine has nodes, and 0-byte messages, which no transport
+  // can complete.
+  struct Case {
+    int nodes;
+    std::string motif;
+    MotifParams params;
+  };
+  const std::vector<Case> crashes = {
+      {2, "sweep3d", {{"pex", "0"}}},
+      {8, "sweep3d", {{"kba", "0"}}},
+      {2, "sweep3d", {{"pex", "-1"}}},
+      {8, "broadcast", {{"root", "-1"}}},
+      {8, "broadcast", {{"root", "8"}}},
+      {8, "broadcast", {{"root", "9"}}},
+      {8, "halo3d", {{"px", "4"}, {"py", "4"}, {"pz", "4"}}},
+      {8, "incast", {{"clients", "20"}}},
+      {2, "incast", {{"clients", "-1"}}},
+      {2, "halo3d", {{"vars", "0"}}},
+      {2, "halo3d", {{"nx", "0"}}},
+      {2, "barrier", {{"bytes", "0"}}},
+      {2, "broadcast", {{"bytes", "0"}}},
+      {2, "incast", {{"bytes", "0"}}},
+      {2, "sweep3d", {{"nx", "0"}}},
+  };
+  for (const Case& c : crashes) {
+    ScenarioSpec bad = spec;
+    bad.nodes = c.nodes;
+    bad.motif = c.motif;
+    bad.motif_params = c.params;
+    const std::string label = c.motif + " " + c.params.begin()->first + "=" +
+                              c.params.begin()->second;
+    error.clear();
+    EXPECT_FALSE(validate_scenario(bad, &error)) << label;
+    EXPECT_EQ(error.rfind(c.motif + ":", 0), 0u) << label << ": " << error;
+  }
+  // The machine, not the spec's node hint, bounds the rank count: a
+  // 3-node fat-tree rounds up to 16 nodes, so 9 incast clients fit.
+  ScenarioSpec rounded = spec;
+  rounded.topology = "fattree";
+  rounded.nodes = 3;
+  rounded.motif = "incast";
+  rounded.motif_params = {{"clients", "9"}};
+  EXPECT_TRUE(validate_scenario(rounded, &error)) << error;
 }
 
 /// Minimal motif params keeping the registry smoke fast; every registered

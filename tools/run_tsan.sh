@@ -4,7 +4,7 @@
 #
 # Covers the parallel sweep machinery: the SweepExecutor pool itself,
 # the jobs=N vs jobs=1 grid determinism (which exercises concurrent
-# Cluster/Engine runs), the fabric tests (static next-hop cache), the
+# Cluster/Engine runs), the fabric tests (static next-hop resolver), the
 # NIC admission/drain path, the
 # scenario-layer tests (registry materialization plus the rvma_run grid
 # replay, which fans cells out over the executor), and the PDES tests (the ShardedEngine's

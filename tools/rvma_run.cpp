@@ -93,9 +93,9 @@ int run_single(const std::string& text, int argc, char** argv) {
     // summary that run_bench byte-diffs across jobs/shards/ablations.
     std::fprintf(stderr,
                  "timing: construct %.3f s, simulate %.3f s, "
-                 "route_table %zu bytes, peak_rss %zu bytes\n",
+                 "peak_rss %zu bytes\n",
                  timing.construct_wall_s, timing.sim_wall_s,
-                 timing.route_table_bytes, timing.peak_rss_bytes);
+                 timing.peak_rss_bytes);
   }
 
   // Deterministic summary: simulated quantities only, no wall clock, so
