@@ -8,10 +8,10 @@
 // Thin grid-spec emitter over the scenario layer: the bench just names
 // the motif and its parameters; src/scenario/figure_grid runs the grid.
 // `--emit-grid=<path>` writes the equivalent rvma-scenario-grid-v1
-// document for rvma_run. Default scale here is 64 ranks (simulating on
-// one host core); the wavefront's protocol-message critical path — what
-// produces the speedup — is per-hop and scale-invariant. Use --nodes=<N>
-// to scale up (the process grid re-derives near-squarely).
+// document for rvma_run. Default scale here is 64 ranks, which keeps the
+// grid interactive. The speedup is not scale-invariant: the 8,192-rank
+// grid reads lower (EXPERIMENTS.md, Figure 7 at paper scale). Use
+// --nodes=<N> to scale up (the process grid re-derives near-squarely).
 #include "scenario/figure_grid.hpp"
 
 using namespace rvma::scenario;

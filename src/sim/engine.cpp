@@ -20,22 +20,50 @@ Engine::HeapEntry Engine::heap_pop() {
   const std::size_t n = heap_.size();
   if (n > 0) {
     // Sift `last` down from the root.
+    HeapEntry* const h = heap_.data();
     std::size_t i = 0;
     for (;;) {
       const std::size_t first = 4 * i + 1;
       if (first >= n) break;
       std::size_t best = first;
-      const std::size_t end = first + 4 < n ? first + 4 : n;
-      for (std::size_t c = first + 1; c < end; ++c) {
-        if (before(heap_[c], heap_[best])) best = c;
+      if (first + 4 <= n) {
+        best += earliest_of_four(h + first);
+      } else {
+        // The one partial group, at the bottom level.
+        for (std::size_t c = first + 1; c < n; ++c) {
+          if (before(h[c], h[best])) best = c;
+        }
       }
-      if (!before(heap_[best], last)) break;
-      heap_[i] = heap_[best];
+      if (!before(h[best], last)) break;
+      h[i] = h[best];
       i = best;
     }
-    heap_[i] = last;
+    h[i] = last;
   }
   return top;
+}
+
+std::size_t Engine::earliest_of_four(const HeapEntry* c) {
+  // Earliest time by a select tournament with no data-dependent branch;
+  // strict `<` keeps the lowest index of equal times. The winning index
+  // is mask arithmetic, which the compiler keeps branch-free where a `?:`
+  // on the final comparison comes out as a jump.
+  const Time t0 = c[0].time, t1 = c[1].time, t2 = c[2].time, t3 = c[3].time;
+  const Time ta = t1 < t0 ? t1 : t0;
+  const Time tb = t3 < t2 ? t3 : t2;
+  const Time tmin = tb < ta ? tb : ta;
+  const std::size_t a = t1 < t0;
+  const std::size_t b = 2 + (t3 < t2);
+  const std::size_t take_b = std::size_t{0} - (tb < ta);
+  std::size_t best = a ^ ((a ^ b) & take_b);
+  const int sharing = (t0 == tmin) + (t1 == tmin) + (t2 == tmin) + (t3 == tmin);
+  if (sharing > 1) [[unlikely]] {
+    // Siblings share the earliest time: (rank, tie, seq) decides.
+    for (std::size_t k = best + 1; k < 4; ++k) {
+      if (before(c[k], c[best])) best = k;
+    }
+  }
+  return best;
 }
 
 bool Engine::step() {

@@ -7,11 +7,13 @@
 // and seeds replay identically.
 //
 // Hot-path layout (see DESIGN.md "Hot path & allocation discipline"):
-// the priority queue holds 32-byte POD entries {time, rank, tie, seq|slot};
-// the callbacks themselves live in page-stable slots threaded on an
-// intrusive free list. Sift operations move only PODs, callbacks are
-// invoked in place, and steady-state scheduling performs zero heap
-// allocations.
+// the priority queue is a 4-ary heap of 32-byte POD entries {time, rank,
+// tie, seq|slot}. The sift-down picks the earliest of a node's four
+// children by time with selects rather than branches, and compares
+// (rank, tie, seq) only when that earliest time is shared. The callbacks
+// themselves live in page-stable slots threaded on an intrusive free
+// list. Sift operations move only PODs, callbacks are invoked in place,
+// and steady-state scheduling performs zero heap allocations.
 //
 // Tie-break model: equal-time events order by (rank, tie, seq).
 //  - `rank` is a simulated instant the producer fixes for the event:
@@ -178,9 +180,10 @@ class Engine {
   std::uint64_t executed_events() const { return executed_; }
 
  private:
-  /// Priority-queue entry: 32 bytes, so the four children of a 4-ary node
-  /// span exactly two cache lines (shallower than a binary heap, and sift
-  /// levels touch at most two lines). `rank` is the event's production
+  /// Priority-queue entry: 32 bytes, so a 4-ary node's four children fill
+  /// 128 bytes: two cache lines when the group starts on a line boundary,
+  /// three otherwise (the heap's buffer carries no alignment beyond the
+  /// allocator's 16 bytes). `rank` is the event's production
   /// instant and `tie` its content key — see the tie-break model in the
   /// header comment. `key` packs the FIFO tie-break sequence above the
   /// callback slot index: seq is unique per entry, so comparing keys
@@ -258,10 +261,10 @@ class Engine {
   }
 
   HeapEntry heap_pop();
+  static std::size_t earliest_of_four(const HeapEntry* c);
 
   // 4-ary min-heap ordered by (time, rank, tie, seq): shallower than
-  // binary, and the four-child scan stays within two cache lines of
-  // 32-byte entries.
+  // binary, and a node's four children span two or three cache lines.
   std::vector<HeapEntry> heap_;
   // Slot pages are allocated once and never move, so callbacks can be
   // invoked in place while the pool grows underneath them.
