@@ -76,9 +76,11 @@ Cluster::Cluster(const net::NetworkConfig& net_config,
 
   int k = std::max(1, par_shards);
 
-  // Shard 0 is built first: its network tells us the switch count, the
-  // routing policy and the cross-shard lookahead, which bound how many
-  // shards are viable.
+  // Shard 0 is built first: its network tells us the switch count and the
+  // cross-shard lookahead, which bound how many shards are viable. Every
+  // routing decision, static or adaptive, reads only the packet and the
+  // current switch's ports, which that switch's shard owns, so every
+  // topology and routing mode shards exactly.
   shards_.push_back(std::make_unique<Shard>());
   Shard& s0 = *shards_[0];
   sharded_.attach(&s0.engine);
@@ -86,11 +88,6 @@ Cluster::Cluster(const net::NetworkConfig& net_config,
       std::make_unique<net::Network>(s0.engine, net_config, &s0.metrics);
   net::Fabric& f0 = s0.network->fabric();
   const int num_sw = f0.num_switches();
-  // A router that draws from the per-Network RNG (dragonfly UGAL) would
-  // advance K shard-local replicas of one stream differently. Every other
-  // router reads only the current switch's port backlogs, which that
-  // switch's shard owns, so it shards exactly.
-  if (s0.network->topology().route_draws_rng(net_config.routing)) k = 1;
   k = std::min(k, num_sw);
 
   // Block-cyclic assignment (block_cyclic above). Every topology builder
@@ -138,8 +135,8 @@ Cluster::Cluster(const net::NetworkConfig& net_config,
   }
 
   // Remaining shards: identical construction (same config, same seed)
-  // yields identical wiring and static routes; each shard's fabric
-  // only ever arbitrates ports on its own switches.
+  // yields identical wiring and routes; each shard's fabric only ever
+  // arbitrates ports on its own switches.
   for (int s = 1; s < k; ++s) {
     shards_.push_back(std::make_unique<Shard>());
     Shard& sh = *shards_[static_cast<std::size_t>(s)];

@@ -14,9 +14,10 @@
 // is never read). NICs attach on the shard owning their switch, so
 // injection and ejection never cross a shard boundary — only transit hops
 // do, handed across through sim::ShardedEngine's windowed channels
-// (DESIGN.md §12). Falls back to one shard whenever conservative sharding
-// cannot be exact: a router that draws from the RNG (dragonfly adaptive;
-// per-network RNG streams would diverge) or zero cross-shard lookahead.
+// (DESIGN.md §12). Every routing decision reads only the packet and its
+// switch's own ports, so any topology and routing mode shards; the one
+// fallback to a single shard is a partition without positive cross-shard
+// lookahead (a zero-latency crossing link, or no crossing link at all).
 #pragma once
 
 #include <functional>
@@ -255,7 +256,7 @@ class ClusterBuilder {
     return *this;
   }
   /// Number of parallel engine shards (1 = serial; clamped to the switch
-  /// count and to 1 whenever exact sharding is impossible — see Cluster).
+  /// count, and to 1 without positive cross-shard lookahead — see Cluster).
   ClusterBuilder& par_shards(int k) {
     par_shards_ = k;
     return *this;

@@ -1,8 +1,10 @@
 // Deterministic pseudo-random number generation for the simulator.
 //
 // Simulations must be reproducible run-to-run: every stochastic decision
-// (adaptive route choice, jitter, workload generation) draws from an Rng
-// seeded from the experiment configuration, never from global state.
+// (jitter, workload generation) draws from an Rng seeded from the
+// experiment configuration, never from global state. Decisions that must
+// not depend on draw order (UGAL's Valiant group, net/dragonfly.cpp) hash
+// their key with splitmix64 instead of drawing from a stream.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,25 @@
+#include "common/rng.hpp"
 #include "net/topologies.hpp"
 
 namespace rvma::net {
+
+namespace {
+
+/// UGAL-lite's candidate Valiant group for `pkt` at switch `sw`: a
+/// splitmix64 hash of (seed, packet_tie, sw), reduced to [0, groups) by
+/// multiply-shift. The group is a function of the packet's identity, so
+/// it does not depend on how many packets were routed before it or on
+/// which shard routes it (DESIGN.md §12).
+int valiant_group(std::uint64_t seed, const Packet& pkt, int sw, int groups) {
+  std::uint64_t state = seed;
+  state = splitmix64(state) ^ packet_tie(pkt);
+  state = splitmix64(state) ^ static_cast<std::uint64_t>(sw);
+  const std::uint64_t h = splitmix64(state);
+  return static_cast<int>(
+      (static_cast<__uint128_t>(h) * static_cast<std::uint64_t>(groups)) >> 64);
+}
+
+}  // namespace
 
 DragonflyTopology::DragonflyTopology(const NetworkConfig& config)
     : config_(config) {
@@ -92,8 +111,8 @@ int DragonflyTopology::static_next_hop(int sw, NodeId dst) const {
   return minimal_port(sw, static_cast<int>(dst) / p_);
 }
 
-int DragonflyTopology::route(Fabric& fabric, int sw, Packet& pkt, Routing mode,
-                             Rng& rng) {
+int DragonflyTopology::route(const Fabric& fabric, int sw, Packet& pkt,
+                             Routing mode) const {
   const int dst_sw = fabric.switch_of_node(pkt.dst);
   const int g = group_of_switch(sw);
   const int dg = group_of_switch(dst_sw);
@@ -105,8 +124,9 @@ int DragonflyTopology::route(Fabric& fabric, int sw, Packet& pkt, Routing mode,
   // UGAL-lite: decide minimal vs Valiant at the injection switch only.
   if (pkt.hops == 1 && pkt.rt_aux == -1 && g != dg && groups_ > 2) {
     const int min_port = minimal_port(sw, dst_sw);
-    // Candidate intermediate group, uniformly among "others".
-    int vg = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(groups_)));
+    // Candidate intermediate group, uniform over the groups; the source
+    // and destination groups mean "no detour".
+    int vg = valiant_group(config_.seed, pkt, sw, groups_);
     if (vg == g || vg == dg) vg = -1;
     if (vg >= 0) {
       const int l = link_to_group(g, vg);

@@ -154,8 +154,9 @@ void Fabric::fail_node(NodeId node) {
   assert(node >= 0 && node < static_cast<NodeId>(node_attach_.size()));
   // Failure injection is a whole-fabric event (liveness is checked at
   // delivery wherever the packet entered); a sharded run would need the
-  // failure mirrored on every shard at the same instant. Unsupported —
-  // the Cluster clamps to one shard before any failure experiment.
+  // failure mirrored on every shard at the same instant. Unsupported, and
+  // nothing clamps a failure run to one shard: this assert is the only
+  // guard, so failure experiments must build a serial Cluster.
   assert(!sharded() && "fail_node is not supported on a sharded fabric");
   node_attach_[node].failed = true;
 }
@@ -246,15 +247,14 @@ void Fabric::arrive_at_switch(int sw, Packet&& pkt) {
   const NodeAttach& dst_at = node_attach_[pkt.dst];
   if (dst_at.sw == sw) {
     port = dst_at.port;  // ejection to the destination node
-  } else if (static_topology_ != nullptr) {
-    // Deterministic routing: one virtual call into O(1) coordinate
-    // arithmetic instead of a std::function call into the topology's
-    // route logic per hop.
-    port = static_topology_->static_next_hop(sw, pkt.dst);
-    c_route_cache_hits_->inc();
+  } else if (adaptive_) {
+    port = topology_->route(*this, sw, pkt, Routing::kAdaptive);
     assert(port >= 0 && port < s.num_ports);
   } else {
-    port = router_(sw, pkt);
+    // Deterministic routing: one virtual call into O(1) coordinate
+    // arithmetic on (switch, dst).
+    port = topology_->static_next_hop(sw, pkt.dst);
+    c_route_cache_hits_->inc();
     assert(port >= 0 && port < s.num_ports);
   }
 

@@ -28,6 +28,11 @@ namespace rvma::net {
 
 class Topology;
 
+enum class Routing {
+  kStatic,   ///< deterministic single path per (src, dst): in-order delivery
+  kAdaptive  ///< per-packet congestion-aware choice: may reorder
+};
+
 struct LinkParams {
   Bandwidth bw = Bandwidth::gbps(100);
   Time latency = 100 * kNanosecond;  ///< propagation (wire/SerDes) delay
@@ -53,15 +58,13 @@ struct FabricStats {
   std::uint64_t wire_bytes_delivered = 0;
   std::uint64_t packets_dropped_dead_node = 0;  ///< failure injection
   /// Transit hops resolved by the topology's static next-hop arithmetic
-  /// instead of the routing callback (static routing only).
+  /// (static routing only; adaptive hops go through Topology::route).
   std::uint64_t route_cache_hits = 0;
   Time max_port_backlog = 0;  ///< worst queue wait beyond the crossbar seen
 };
 
 class Fabric {
  public:
-  /// Routes a transit packet at `sw`; returns the output port index.
-  using Router = std::function<int(int sw, const Packet&)>;
   /// Per-node delivery callback (installed by the NIC model).
   using Delivery = std::function<void(Packet&&)>;
   /// Cross-shard handoff hook (sharded runs only): invoked when a packet's
@@ -98,14 +101,14 @@ class Fabric {
   int attach_node(int sw, NodeId node, LinkParams link);
 
   void set_delivery(NodeId node, Delivery fn);
-  void set_router(Router fn) { router_ = std::move(fn); }
 
-  /// Deterministic routing: resolve every transit hop with `topology`'s
-  /// O(1) static_next_hop instead of the router_ callback. Adaptive
-  /// routing never installs one. `topology` must outlive the fabric's
-  /// routing (Network owns both).
-  void set_static_routing(const Topology* topology) {
-    static_topology_ = topology;
+  /// Resolve every transit hop through `topology`: its O(1)
+  /// static_next_hop under static routing, its route() under adaptive
+  /// routing. `topology` must outlive the fabric's routing (Network owns
+  /// both).
+  void set_routing(const Topology* topology, Routing routing) {
+    topology_ = topology;
+    adaptive_ = routing == Routing::kAdaptive;
   }
 
   /// Shard this fabric: switches whose `shard_of_switch` entry differs
@@ -244,10 +247,9 @@ class Fabric {
   std::vector<std::int32_t> port_peer_sw_;  ///< -1 when the peer is a node
   std::vector<NodeId> port_peer_node_;      ///< -1 when the peer is a switch
   std::vector<NodeAttach> node_attach_;
-  Router router_;
-  /// Static next-hop resolver; null under adaptive routing (per-packet
-  /// router_ calls).
-  const Topology* static_topology_ = nullptr;
+  /// Transit-hop resolver (set_routing); null until a Network installs it.
+  const Topology* topology_ = nullptr;
+  bool adaptive_ = false;
   /// Sharding (empty when this fabric owns the whole topology): owning
   /// shard per switch, this fabric's shard id, and the handoff hook.
   std::vector<std::int32_t> shard_of_switch_;

@@ -13,7 +13,7 @@ void StarTopology::build(Fabric& fabric) {
   }
 }
 
-int StarTopology::route(Fabric&, int, Packet&, Routing, Rng&) {
+int StarTopology::route(const Fabric&, int, Packet&, Routing) const {
   // Unreachable: every destination is attached to the single switch, so the
   // fabric always takes the ejection path before consulting the router.
   return -1;

@@ -14,7 +14,7 @@ class StarTopology final : public Topology {
 
   int num_nodes() const override { return nodes_; }
   void build(Fabric& fabric) override;
-  int route(Fabric&, int, Packet&, Routing, Rng&) override;
+  int route(const Fabric&, int, Packet&, Routing) const override;
   /// Never consulted: every destination is on the single switch, so the
   /// fabric always takes the ejection path before routing.
   int static_next_hop(int, NodeId) const override { return -1; }
@@ -38,7 +38,8 @@ class Torus3DTopology final : public Topology {
 
   int num_nodes() const override { return dx_ * dy_ * dz_ * conc_; }
   void build(Fabric& fabric) override;
-  int route(Fabric& fabric, int sw, Packet& pkt, Routing mode, Rng& rng) override;
+  int route(const Fabric& fabric, int sw, Packet& pkt,
+            Routing mode) const override;
   int static_next_hop(int sw, NodeId dst) const override;
   TopologyFootprint footprint() const override;
   int diameter() const override { return dx_ / 2 + dy_ / 2 + dz_ / 2; }
@@ -62,7 +63,8 @@ class FatTreeTopology final : public Topology {
 
   int num_nodes() const override { return k_ * k_ * k_ / 4; }
   void build(Fabric& fabric) override;
-  int route(Fabric& fabric, int sw, Packet& pkt, Routing mode, Rng& rng) override;
+  int route(const Fabric& fabric, int sw, Packet& pkt,
+            Routing mode) const override;
   int static_next_hop(int sw, NodeId dst) const override;
   TopologyFootprint footprint() const override;
   int diameter() const override { return 6; }
@@ -84,20 +86,17 @@ class FatTreeTopology final : public Topology {
 /// with p nodes and h global links; g = a*h + 1 groups.
 /// Static: minimal local-global-local with deterministic gateway.
 /// Adaptive: UGAL-lite — per packet, compare the backlog of the minimal
-/// first hop against a Valiant detour via a random intermediate group
-/// (weighted by its longer path) and take the cheaper one.
+/// first hop against a Valiant detour via an intermediate group hashed
+/// from the packet (weighted by its longer path) and take the cheaper one.
 class DragonflyTopology final : public Topology {
  public:
   explicit DragonflyTopology(const NetworkConfig& config);
 
   int num_nodes() const override { return groups_ * a_ * p_; }
   void build(Fabric& fabric) override;
-  int route(Fabric& fabric, int sw, Packet& pkt, Routing mode, Rng& rng) override;
+  int route(const Fabric& fabric, int sw, Packet& pkt,
+            Routing mode) const override;
   int static_next_hop(int sw, NodeId dst) const override;
-  /// UGAL-lite draws its Valiant intermediate group from the RNG.
-  bool route_draws_rng(Routing mode) const override {
-    return mode == Routing::kAdaptive;
-  }
   TopologyFootprint footprint() const override;
   int diameter() const override { return 5; }  // l-g-l worst case (+detour)
 
@@ -136,7 +135,8 @@ class HyperXTopology final : public Topology {
 
   int num_nodes() const override { return l1_ * l2_ * conc_; }
   void build(Fabric& fabric) override;
-  int route(Fabric& fabric, int sw, Packet& pkt, Routing mode, Rng& rng) override;
+  int route(const Fabric& fabric, int sw, Packet& pkt,
+            Routing mode) const override;
   int static_next_hop(int sw, NodeId dst) const override;
   TopologyFootprint footprint() const override;
   int diameter() const override { return 2; }

@@ -83,29 +83,15 @@ void close_min_latency_matrix(std::vector<Time>& la, int num_shards) {
 
 Network::Network(sim::Engine& engine, const NetworkConfig& config,
                  obs::MetricsRegistry* metrics)
-    : config_(config),
-      fabric_(engine, metrics),
-      rng_(config.seed ^ 0x746f706fULL) {
+    : config_(config), fabric_(engine, metrics) {
   topology_ = make_topology(config_);
   const TopologyFootprint fp = topology_->footprint();
   fabric_.reserve(fp.switches, fp.ports, fp.nodes);
   topology_->build(fabric_);
   fabric_.check_wired();
-  fabric_.set_router([this](int sw, const Packet& pkt) {
-    // route() may stash per-packet state (Valiant detours), so cast away
-    // the const the Fabric::Router signature imposes on transit packets.
-    return topology_->route(fabric_, sw, const_cast<Packet&>(pkt),
-                            config_.routing, rng_);
-  });
-  if (config_.routing == Routing::kStatic) {
-    // Static routes depend only on (switch, dst) — every topology's
-    // static mode is deterministic and consults neither the RNG nor
-    // per-packet state — so each hop is O(1) arithmetic on (switch, dst)
-    // coordinates (static_next_hop) instead of the router_ std::function.
-    // topology_ outlives fabric_ routing: both die with this Network, and
-    // the fabric never routes after destruction begins.
-    fabric_.set_static_routing(topology_.get());
-  }
+  // topology_ outlives fabric_ routing: both die with this Network, and
+  // the fabric never routes after destruction begins.
+  fabric_.set_routing(topology_.get(), config_.routing);
 }
 
 }  // namespace rvma::net

@@ -13,16 +13,10 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "net/fabric.hpp"
 #include "net/types.hpp"
 
 namespace rvma::net {
-
-enum class Routing {
-  kStatic,   ///< deterministic single path per (src, dst): in-order delivery
-  kAdaptive  ///< per-packet congestion-aware choice: may reorder
-};
 
 enum class TopologyKind { kStar, kTorus3D, kFatTree, kDragonfly, kHyperX };
 
@@ -88,25 +82,18 @@ class Topology {
   /// Construct switches, wire links, attach nodes.
   virtual void build(Fabric& fabric) = 0;
 
-  /// Select the output port for a transit packet (dst not on `sw`).
-  virtual int route(Fabric& fabric, int sw, Packet& pkt, Routing mode,
-                    Rng& rng) = 0;
+  /// Select the output port for a transit packet (dst not on `sw`): the
+  /// fabric's per-hop resolver under adaptive routing. Reads only the
+  /// packet and `sw`'s own ports, so the switch's owning shard decides as
+  /// a serial run does; may stash a dragonfly Valiant detour in `pkt`.
+  virtual int route(const Fabric& fabric, int sw, Packet& pkt,
+                    Routing mode) const = 0;
 
   /// O(1) static next hop for a transit packet at `sw` headed to `dst`
   /// (dst's switch != sw): the fabric's per-hop resolver under static
-  /// routing. Must agree with route(..., kStatic, ...) on every reachable
+  /// routing. Must agree with route(..., kStatic) on every reachable
   /// (sw, dst) pair — test_routing_algebra checks this against route().
   virtual int static_next_hop(int sw, NodeId dst) const = 0;
-
-  /// True when route() draws from the Network's RNG under `mode`. Every
-  /// other routing decision reads only the current switch's port backlogs,
-  /// which the switch's owning shard holds, so the Cluster can shard it
-  /// exactly; an RNG draw would advance per-shard replicas of one stream
-  /// differently, so the Cluster clamps such runs to serial.
-  virtual bool route_draws_rng(Routing mode) const {
-    (void)mode;
-    return false;
-  }
 
   /// Element counts for Fabric::reserve(); all-zero means "unknown".
   virtual TopologyFootprint footprint() const { return {}; }
@@ -115,7 +102,7 @@ class Topology {
   virtual int diameter() const = 0;
 };
 
-/// Owns the engine-facing pieces: fabric, topology, routing policy, RNG.
+/// Owns the engine-facing pieces: fabric, topology, routing policy.
 class Network {
  public:
   /// `metrics` is forwarded to the Fabric (shared Cluster registry);
@@ -140,7 +127,6 @@ class Network {
   NetworkConfig config_;
   Fabric fabric_;
   std::unique_ptr<Topology> topology_;
-  Rng rng_;
 };
 
 /// Factory for the topology named in `config` (used by Network; exposed for

@@ -34,7 +34,6 @@ void Nic::send(Message msg, SendDone on_sent) {
     msg.id = (static_cast<std::uint64_t>(node_) << 40) | next_msg_seq_++;
   }
   msg.created_at = engine_.now();
-  ++messages_sent_;
   c_messages_sent_->inc();
   RVMA_FREC(engine_, engine_.now(), obs::SpanKind::kMsgPost, msg.id, node_,
             static_cast<std::int64_t>(msg.bytes));
@@ -71,7 +70,6 @@ void Nic::send(Message msg, SendDone on_sent) {
     // wire than the queue depth allows, the descriptor waits its turn.
     if (!tx_queue_.empty() ||
         network_.fabric().injection_backlog(node_) > params_.tx_queue_limit) {
-      ++tx_queue_stalls_;
       c_tx_queue_stalls_->inc();
       RVMA_FREC(engine_, engine_.now(), obs::SpanKind::kTxQueue, mref->id,
                 node_, static_cast<std::int64_t>(tx_queue_.size()));
@@ -152,7 +150,6 @@ void Nic::register_proto(std::uint32_t proto, PacketHandler handler,
 }
 
 void Nic::handle_delivery(Packet&& pkt) {
-  ++packets_received_;
   c_packets_received_->inc();
   const std::uint32_t proto = net::proto_of(pkt.msg->hdr.kind);
   const net::Pid pid = pkt.msg->hdr.dst_pid;
@@ -160,7 +157,6 @@ void Nic::handle_delivery(Packet&& pkt) {
       !dispatch_[proto][pid]) {
     // A remote peer targeted a protocol/process this node does not run —
     // a network-visible condition, not a local bug: drop.
-    ++packets_dropped_no_handler_;
     c_drops_no_handler_->inc();
     RVMA_LOG_WARN("nic %d: dropping packet for proto %u pid %u", node_,
                   proto, pid);

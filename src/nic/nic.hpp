@@ -57,9 +57,9 @@ class Nic {
   using SendDone = std::function<void()>;
 
   /// `metrics` is the shared Cluster registry; nullptr gives this NIC a
-  /// private one (standalone construction in unit tests). Per-instance
-  /// accessors below stay exact either way — the registry counters are
-  /// fleet-wide aggregates mirrored alongside them.
+  /// private one (standalone construction in unit tests). Its `nic.*`
+  /// counters are the only record of what the NICs sent and received:
+  /// fleet-wide aggregates over every NIC sharing the registry.
   Nic(sim::Engine& engine, net::Network& network, NodeId node,
       const NicParams& params, obs::MetricsRegistry* metrics = nullptr);
 
@@ -82,13 +82,6 @@ class Nic {
   void register_proto(std::uint32_t proto, PacketHandler handler,
                       net::Pid pid = 0);
 
-  std::uint64_t messages_sent() const { return messages_sent_; }
-  std::uint64_t packets_received() const { return packets_received_; }
-  std::uint64_t tx_queue_stalls() const { return tx_queue_stalls_; }
-  std::uint64_t packets_dropped_no_handler() const {
-    return packets_dropped_no_handler_;
-  }
-
   /// Descriptors waiting in the host-side transmit queue right now — a
   /// sampler gauge provider.
   std::int64_t tx_queue_depth() const {
@@ -109,10 +102,6 @@ class Nic {
   // bounds checks and two indexed loads — no hashing on the per-packet path.
   std::array<std::vector<PacketHandler>, kMaxProto> dispatch_;
   std::uint64_t next_msg_seq_ = 1;
-  std::uint64_t messages_sent_ = 0;
-  std::uint64_t packets_received_ = 0;
-  std::uint64_t tx_queue_stalls_ = 0;
-  std::uint64_t packets_dropped_no_handler_ = 0;
   std::deque<std::pair<net::MsgRef, SendDone>> tx_queue_;
   bool drain_scheduled_ = false;
   /// Doorbell batching state: when the last rung doorbell's descriptor
@@ -124,8 +113,8 @@ class Nic {
   /// multi-packet sends allocate nothing.
   std::vector<Packet> burst_scratch_;
 
-  /// Registry mirrors of the per-instance counters (shared across all
-  /// NICs on a Cluster), resolved once at construction.
+  /// Registry counters (shared across all NICs on a Cluster), resolved
+  /// once at construction.
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::MetricsRegistry* metrics_;
   obs::Counter* c_messages_sent_;

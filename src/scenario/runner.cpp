@@ -103,8 +103,7 @@ bool run_scenario(const ScenarioSpec& spec, ScenarioResult* out,
 
   // Sharded execution must be exact; mid-run gauge sampling reads one
   // shard's engine mid-window, so it clamps back to serial here (Cluster
-  // itself additionally clamps for routing that draws from the RNG
-  // (dragonfly adaptive) and zero-lookahead topologies).
+  // itself additionally clamps partitions without positive lookahead).
   int shards = spec.par_shards;
   if (spec.sample_period > 0) shards = 1;
   const auto t_build0 = std::chrono::steady_clock::now();
@@ -193,7 +192,6 @@ bool run_scenario(const ScenarioSpec& spec, ScenarioResult* out,
   res.makespan = makespan;
   res.packets_injected = fabric.packets_injected;
   res.packets_delivered = fabric.packets_delivered;
-  res.route_cache_hits = fabric.route_cache_hits;
   res.engine_events = engine_events;
   res.metrics = cluster.collect_metrics();
   if (spec.sample_period > 0) res.series = cluster.sampler().take_series();

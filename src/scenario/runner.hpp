@@ -24,7 +24,6 @@ struct ScenarioResult {
   Time makespan = 0;
   std::uint64_t packets_injected = 0;
   std::uint64_t packets_delivered = 0;
-  std::uint64_t route_cache_hits = 0;
   std::uint64_t engine_events = 0;
   /// Full registry dump for the run (counters, gauge high-waters,
   /// histograms) — mergeable across grids in grid order.

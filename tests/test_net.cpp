@@ -298,6 +298,51 @@ TEST(Dragonfly, CanonicalGlobalWiringConsistent) {
   EXPECT_EQ(net.fabric().num_switches(), 36);
 }
 
+TEST(Dragonfly, ValiantGroupIgnoresRoutingHistory) {
+  // UGAL-lite's Valiant group is a hash of the packet, not a draw from a
+  // stream: routing other packets first must not change which groups a
+  // burst detours through. Nodes 0 and 1 share switch 0 and flood group
+  // 1 through its one global link, so the backlog pushes some packets
+  // onto Valiant detours, whose group the delivered packet carries in
+  // rt_aux. The later networks first route (and drain) a prelude of 1
+  // or 17 inter-group packets elsewhere in the machine.
+  NetworkConfig cfg =
+      base_config(TopologyKind::kDragonfly, Routing::kAdaptive, 0);
+  cfg.df_p = 2;
+  cfg.df_a = 4;
+  cfg.df_h = 2;  // 9 groups of 4 switches, 72 nodes
+  auto burst_groups = [&](int prelude) {
+    sim::Engine engine;
+    Network net(engine, cfg);
+    std::map<MsgId, std::int32_t> groups;
+    for (NodeId node = 0; node < net.num_nodes(); ++node) {
+      net.set_delivery(node, [&](Packet&& pkt) {
+        if (pkt.msg->id < 1000) groups[pkt.msg->id] = pkt.rt_aux;
+      });
+    }
+    for (int i = 0; i < prelude; ++i) {  // group 2 -> groups 7/8, one by one
+      net.inject(make_packet(20 + i % 4, 60 + i % 8, 4096,
+                             static_cast<MsgId>(1000 + i)));
+      engine.run();
+    }
+    for (MsgId id = 1; id <= 32; ++id) {
+      net.inject(make_packet(static_cast<NodeId>(id % 2),
+                             static_cast<NodeId>(8 + id % 8), 4096, id));
+    }
+    engine.run();
+    return groups;
+  };
+  const std::map<MsgId, std::int32_t> fresh = burst_groups(0);
+  ASSERT_EQ(fresh.size(), 32u);
+  std::map<std::int32_t, int> detours;
+  for (const auto& [id, group] : fresh) {
+    if (group >= 0) ++detours[group];
+  }
+  ASSERT_GE(detours.size(), 2u) << "the burst should detour via several groups";
+  EXPECT_EQ(burst_groups(1), fresh);
+  EXPECT_EQ(burst_groups(17), fresh);
+}
+
 TEST(FatTree, SwitchCounts) {
   NetworkConfig cfg = base_config(TopologyKind::kFatTree, Routing::kStatic, 0);
   cfg.fat_k = 4;

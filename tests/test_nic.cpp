@@ -124,10 +124,7 @@ TEST_F(NicTest, TxQueueStallsAndDrainsUnderTightAdmission) {
               arrival_order[0] + static_cast<std::uint32_t>(i))
         << "FIFO order violated";
   }
-  // All but the first message stalled exactly once; the registry mirror
-  // must agree with the NIC-local counter.
-  EXPECT_EQ(cluster.nic(0).tx_queue_stalls(),
-            static_cast<std::uint64_t>(kMessages - 1));
+  // All but the first message stalled exactly once.
   EXPECT_EQ(cluster.metrics().counter("nic.tx_queue_stalls").value(),
             static_cast<std::uint64_t>(kMessages - 1));
   EXPECT_EQ(cluster.nic(0).tx_queue_depth(), 0);

@@ -4,8 +4,8 @@
 // owns nodes, the installed matrix is its own map's closure, the
 // lookahead never drops below the slabs'), unreachable (+inf) pairs in a
 // hand-built ShardedEngine, bit-identity of windowed runs against serial
-// across every topology and the backlog-only adaptive routers at
-// K in {2, 3, 5}, and the windows_executed regression the matrix buys
+// across every topology and every adaptive router at K in {2, 3, 5},
+// and the windows_executed regression the matrix buys
 // over the scalar global-minimum lookahead on a wavefront workload.
 #include <gtest/gtest.h>
 
@@ -359,13 +359,14 @@ TEST(PdesMatrixExactness, AllTopologiesMatchSerialAtK235) {
 }
 
 TEST(PdesMatrixExactness, AdaptiveRoutingMatchesSerialAtK235) {
-  // Torus, fat-tree and HyperX adaptive routers pick a port by the
-  // current switch's backlogs alone; that switch's shard executes its
-  // arbitrations in serial order, so every choice — and every byte of
-  // output — matches the serial run, over both transports.
-  for (net::TopologyKind kind : {net::TopologyKind::kTorus3D,
-                                 net::TopologyKind::kFatTree,
-                                 net::TopologyKind::kHyperX}) {
+  // Every adaptive router picks a port by the current switch's backlogs
+  // and, for the dragonfly's Valiant group, a hash of the packet; that
+  // switch's shard executes its arbitrations in serial order, so every
+  // choice — and every byte of output — matches the serial run, over
+  // both transports.
+  for (net::TopologyKind kind :
+       {net::TopologyKind::kTorus3D, net::TopologyKind::kFatTree,
+        net::TopologyKind::kDragonfly, net::TopologyKind::kHyperX}) {
     SCOPED_TRACE(net::to_string(kind));
     for (Via via : {Via::kRvma, Via::kRdma}) {
       SCOPED_TRACE(via == Via::kRvma ? "rvma" : "rdma");

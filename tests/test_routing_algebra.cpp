@@ -41,11 +41,10 @@ struct BuiltTopo {
   }
 };
 
-void expect_hop_matches(BuiltTopo& bt, Rng& rng, int sw, NodeId dst) {
+void expect_hop_matches(BuiltTopo& bt, int sw, NodeId dst) {
   Packet probe;
   probe.dst = dst;
-  const int oracle =
-      bt.topo->route(bt.fabric, sw, probe, Routing::kStatic, rng);
+  const int oracle = bt.topo->route(bt.fabric, sw, probe, Routing::kStatic);
   const int algebraic = bt.topo->static_next_hop(sw, dst);
   ASSERT_EQ(oracle, algebraic)
       << bt.topo->num_nodes() << " nodes, sw=" << sw << " dst=" << dst;
@@ -53,7 +52,6 @@ void expect_hop_matches(BuiltTopo& bt, Rng& rng, int sw, NodeId dst) {
 
 void check_exhaustive(const NetworkConfig& cfg) {
   BuiltTopo bt(cfg);
-  Rng rng(cfg.seed);
   const int nodes = bt.topo->num_nodes();
   const int switches = bt.fabric.num_switches();
   ASSERT_LE(nodes, 256) << "exhaustive check meant for small machines";
@@ -61,14 +59,13 @@ void check_exhaustive(const NetworkConfig& cfg) {
     const int dst_sw = bt.fabric.switch_of_node(dst);
     for (int sw = 0; sw < switches; ++sw) {
       if (sw == dst_sw) continue;  // ejection precedes routing
-      expect_hop_matches(bt, rng, sw, dst);
+      expect_hop_matches(bt, sw, dst);
     }
   }
 }
 
 void check_sampled(const NetworkConfig& cfg, int samples) {
   BuiltTopo bt(cfg);
-  Rng rng(cfg.seed);
   const int nodes = bt.topo->num_nodes();
   const int switches = bt.fabric.num_switches();
   std::uint64_t state = cfg.seed ^ 0xa1beb7a1ULL;
@@ -78,7 +75,7 @@ void check_sampled(const NetworkConfig& cfg, int samples) {
     const NodeId dst = static_cast<NodeId>(
         splitmix64(state) % static_cast<std::uint64_t>(nodes));
     if (sw == bt.fabric.switch_of_node(dst)) continue;
-    expect_hop_matches(bt, rng, sw, dst);
+    expect_hop_matches(bt, sw, dst);
   }
 }
 

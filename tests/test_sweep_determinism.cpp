@@ -104,11 +104,11 @@ TEST(SweepDeterminism, StaticRoutingUsesNextHopCache) {
   ScenarioResult cached, adaptive;
   std::string error;
   ASSERT_TRUE(run_scenario(spec, &cached, &error)) << error;
-  EXPECT_GT(cached.route_cache_hits, 0u);
+  EXPECT_GT(cached.metrics.counters.at("fabric.route_cache_hits"), 0u);
 
   spec.routing = "adaptive";
   ASSERT_TRUE(run_scenario(spec, &adaptive, &error)) << error;
-  EXPECT_EQ(adaptive.route_cache_hits, 0u);
+  EXPECT_EQ(adaptive.metrics.counters.at("fabric.route_cache_hits"), 0u);
 }
 
 TEST(SweepDeterminism, RunSeedsAreStableAndDistinct) {

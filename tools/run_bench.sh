@@ -336,23 +336,31 @@ echo "scenario: rvma_run table and metrics byte-identical to the bench"
 # The PDES path (--par-shards=K) must be a pure wall-clock optimization
 # too: replaying the same grid with 8 shards per cell must print an
 # identical table and produce an identical metrics document
-# (DESIGN.md §12). The per-cell engine-event lines and the engine.events
-# instrument are filtered — sharded runs execute extra window-boundary
-# bookkeeping events; every simulated observable must match.
+# (DESIGN.md §12). Both replays turn gauge sampling off
+# (--metrics-period-us=0): the scenario runner runs a sampled cell on
+# one shard, so with sampling on the "sharded" replay would be serial.
+# --pdes-profile proves every cell ran on more than one shard. The
+# engine-event lines and instruments are filtered, as sharded runs may
+# count window bookkeeping; every simulated observable must match.
 echo "pdes: sharded replay (--par-shards=8)"
 "$build_dir/tools/rvma_run" "$tmp_dir/fig8_grid.json" --jobs=1 \
-  --par-shards=8 \
+  --metrics-period-us=0 \
+  --metrics="$tmp_dir/unsampled_metrics.json" > "$tmp_dir/unsampled.txt"
+"$build_dir/tools/rvma_run" "$tmp_dir/fig8_grid.json" --jobs=1 \
+  --par-shards=8 --metrics-period-us=0 \
+  --pdes-profile="$tmp_dir/pdes_profile.json" \
   --metrics="$tmp_dir/pdes_metrics.json" > "$tmp_dir/pdes.txt"
-for f in scenario pdes; do
+for f in unsampled pdes; do
   grep -v '^grid wall-clock\|^speedup vs serial\|^metrics written' \
     "$tmp_dir/$f.txt" | grep -v 'engine events' \
     > "$tmp_dir/${f}_pdes_table.txt"
 done
-grep -v 'engine.events' "$tmp_dir/scenario_metrics.json" \
+grep -v 'engine.events' "$tmp_dir/unsampled_metrics.json" \
   > "$tmp_dir/serial_pdes_metrics.json"
 grep -v 'engine.events' "$tmp_dir/pdes_metrics.json" \
   > "$tmp_dir/sharded_pdes_metrics.json"
-if ! diff -u "$tmp_dir/scenario_pdes_table.txt" "$tmp_dir/pdes_pdes_table.txt"
+if ! diff -u "$tmp_dir/unsampled_pdes_table.txt" \
+  "$tmp_dir/pdes_pdes_table.txt"
 then
   echo "ERROR: --par-shards=8 changed the rvma_run table" >&2
   exit 1
@@ -363,14 +371,27 @@ then
   echo "ERROR: --par-shards=8 changed the metrics document" >&2
   exit 1
 fi
-echo "pdes: table and metrics byte-identical at par-shards=1 and 8"
+pdes_runs=0
+for profile in "$tmp_dir"/pdes_profile.json.run*; do
+  if ! grep -q '"pdes.shard1\.' "$profile"; then
+    echo "ERROR: $profile ran on one shard at --par-shards=8" >&2
+    exit 1
+  fi
+  pdes_runs=$((pdes_runs + 1))
+done
+if [ "$pdes_runs" -eq 0 ]; then
+  echo "ERROR: the sharded replay wrote no PDES profiles" >&2
+  exit 1
+fi
+echo "pdes: table and metrics byte-identical at par-shards=1 and 8" \
+  "($pdes_runs runs, every one sharded)"
 
 # --- Flight-recorder exactness gate -------------------------------------
 # Arming the flight recorder must change no simulation output (the spans
 # are keyed purely off simulated time the run already computes,
 # DESIGN.md §14): replaying the same grid with --flight-recorder must
 # print an identical table and produce an identical metrics document,
-# serially and at --par-shards=8.
+# serially and at --par-shards=8 (unsampled, so the cells really shard).
 echo "recorder: armed replay (--flight-recorder, serial)"
 "$build_dir/tools/rvma_run" "$tmp_dir/fig8_grid.json" --jobs=1 \
   --flight-recorder="$tmp_dir/frec.rvfr" \
@@ -391,7 +412,8 @@ if ! ls "$tmp_dir"/frec.rvfr.run* > /dev/null 2>&1; then
 fi
 echo "recorder: armed replay (--flight-recorder --par-shards=8)"
 "$build_dir/tools/rvma_run" "$tmp_dir/fig8_grid.json" --jobs=1 \
-  --par-shards=8 --flight-recorder="$tmp_dir/frec_pdes.rvfr" \
+  --par-shards=8 --metrics-period-us=0 \
+  --flight-recorder="$tmp_dir/frec_pdes.rvfr" \
   --metrics="$tmp_dir/frec_pdes_metrics.json" > "$tmp_dir/frec_pdes.txt"
 grep -v '^grid wall-clock\|^speedup vs serial\|^metrics written' \
   "$tmp_dir/frec_pdes.txt" | grep -v 'engine events' \
@@ -435,7 +457,7 @@ echo "recorder: rvma_trace jsonl byte-identical at par-shards=1 and 8" \
   "($jsonl_runs runs)"
 
 # --- Paper-scale smoke gate ---------------------------------------------
-# Two 8,192-rank cells must run to completion through rvma_run inside a
+# Three 8,192-rank cells must run to completion through rvma_run inside a
 # wall-time and memory budget. Construction is reported separately from
 # simulation via --timing.
 #  * halo3d: a fig8-style cell (torus3d-static, RVMA, serial). Budgets
@@ -448,17 +470,28 @@ echo "recorder: rvma_trace jsonl byte-identical at par-shards=1 and 8" \
 #    mailbox. Peak RSS is deterministic, so its budget is the measured
 #    228.6 MiB (239,665,152 bytes, Release build, 4-vCPU host) plus 10%.
 #    Wall budget 60 s: it simulates in ~3.7 s on 4 cores.
+#  * sweep3d_df: the paper's headline Fig 7 cell, dragonfly-adaptive at
+#    2 Tb/s with the fig7 motif parameters, RVMA at --par-shards=4. Its
+#    table and metrics must also cmp equal to a serial run of the same
+#    cell (engine event counts aside): UGAL's Valiant group is a hash of
+#    the packet, so the sharded run routes every packet as the serial
+#    one does.
+#    --pdes-profile proves it ran on four shards (serially it takes
+#    ~5.5 s). Budgets: 10 s wall, 5x the measured 1.9-2.0 s (Release
+#    build, 4-vCPU host), and the measured peak RSS of 220.5 MiB
+#    (231,215,104 bytes) plus 10%.
 printf '{"format": "rvma-scenario-v1", "scenario": {}}\n' \
   > "$tmp_dir/paper_cell.json"
-# paper_gate NAME WALL_BUDGET_S RSS_BUDGET_BYTES RVMA_RUN_FLAGS...
+# paper_gate NAME TOPOLOGY ROUTING WALL_BUDGET_S RSS_BUDGET_BYTES
+#            RVMA_RUN_FLAGS...
 paper_gate() {
-  name=$1 wall_budget=$2 rss_budget=$3
-  shift 3
-  echo "paper-scale: 8192-rank torus $name cell via rvma_run"
+  name=$1 topology=$2 routing=$3 wall_budget=$4 rss_budget=$5
+  shift 5
+  echo "paper-scale: 8192-rank $topology-$routing $name cell via rvma_run"
   paper_start=$(date +%s)
   "$build_dir/tools/rvma_run" "$tmp_dir/paper_cell.json" \
-    --topology=torus3d --routing=static --nodes=8192 --transport=rvma \
-    --timing "$@" > "$tmp_dir/paper_$name.txt" \
+    --topology="$topology" --routing="$routing" --nodes=8192 \
+    --transport=rvma --timing "$@" > "$tmp_dir/paper_$name.txt" \
     2> "$tmp_dir/paper_${name}_timing.txt"
   paper_wall=$(( $(date +%s) - paper_start ))
   cat "$tmp_dir/paper_${name}_timing.txt"
@@ -483,12 +516,51 @@ paper_gate() {
     "${paper_rss:-unknown} bytes (budgets: ${wall_budget}s," \
     "$rss_budget bytes)"
 }
-paper_gate halo3d 60 1073741824 \
+# The fig7 motif parameters; expanded unquoted, one flag per word.
+fig7_motif="--motif=sweep3d --motif.nx=48 --motif.ny=48 --motif.nz=64"
+fig7_motif="$fig7_motif --motif.kba=8 --motif.vars=4"
+fig7_motif="$fig7_motif --motif.compute_per_cell=20ps"
+paper_gate halo3d torus3d static 60 1073741824 \
   --motif=halo3d --motif.nx=4 --motif.ny=4 --motif.nz=4 --motif.vars=4 \
   --motif.iterations=1 --motif.compute_per_cell=50ps
-paper_gate sweep3d 60 263631667 --par-shards=4 --seed=2021 \
-  --motif=sweep3d --motif.nx=48 --motif.ny=48 --motif.nz=64 \
-  --motif.kba=8 --motif.vars=4 --motif.compute_per_cell=20ps
+paper_gate sweep3d torus3d static 60 263631667 --par-shards=4 --seed=2021 \
+  $fig7_motif
+paper_gate sweep3d_df dragonfly adaptive 10 254336614 \
+  --par-shards=4 --seed=2021 --bandwidth=2Tbps $fig7_motif \
+  --pdes-profile="$tmp_dir/paper_sweep3d_df_profile.json" \
+  --metrics="$tmp_dir/paper_sweep3d_df.json"
+if ! grep -q '"pdes.shard3\.' "$tmp_dir/paper_sweep3d_df_profile.json"; then
+  echo "ERROR: the sweep3d_df cell did not run on 4 shards" >&2
+  exit 1
+fi
+echo "paper-scale: serial replay of the sweep3d_df cell"
+"$build_dir/tools/rvma_run" "$tmp_dir/paper_cell.json" \
+  --topology=dragonfly --routing=adaptive --nodes=8192 --transport=rvma \
+  --par-shards=1 --seed=2021 --bandwidth=2Tbps $fig7_motif \
+  --metrics="$tmp_dir/paper_sweep3d_df_serial.json" \
+  > "$tmp_dir/paper_sweep3d_df_serial.txt"
+for run in sweep3d_df sweep3d_df_serial; do
+  grep -v 'engine events\|^metrics written' "$tmp_dir/paper_$run.txt" \
+    > "$tmp_dir/paper_${run}_table.txt"
+  grep -v 'engine.events' "$tmp_dir/paper_$run.json" \
+    > "$tmp_dir/paper_${run}_metrics.json"
+done
+if ! cmp -s "$tmp_dir/paper_sweep3d_df_table.txt" \
+  "$tmp_dir/paper_sweep3d_df_serial_table.txt"
+then
+  diff -u "$tmp_dir/paper_sweep3d_df_serial_table.txt" \
+    "$tmp_dir/paper_sweep3d_df_table.txt" >&2
+  echo "ERROR: --par-shards=4 changed the dragonfly-adaptive cell" >&2
+  exit 1
+fi
+if ! cmp -s "$tmp_dir/paper_sweep3d_df_metrics.json" \
+  "$tmp_dir/paper_sweep3d_df_serial_metrics.json"
+then
+  echo "ERROR: --par-shards=4 changed the dragonfly-adaptive metrics" >&2
+  exit 1
+fi
+echo "paper-scale: sweep3d_df table and metrics identical at par-shards=1" \
+  "and 4"
 
 # --- Motif registry completeness gate -----------------------------------
 # `rvma_run --list` must name every built-in motif, including the

@@ -11,7 +11,9 @@
 # window barriers, cross-shard SPSC channels, and the windowed-vs-serial
 # exactness runs, which exercise the full multi-threaded shard path),
 # the lookahead-matrix tests (per-destination windows, unreachable-pair
-# handling, and windowed-vs-serial identity at K in {2,3,5}),
+# handling, and windowed-vs-serial identity at K in {2,3,5}, including
+# every adaptive router: dragonfly-adaptive shards with UGAL's
+# content-keyed Valiant draw),
 # and the flight-recorder tests (per-shard rings attached to windowed
 # engines, recorded at K=1 and K=4 for the JSONL export check),
 # and the rvma.h API tests (API-motif contexts driven from shard threads:
