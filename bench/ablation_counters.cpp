@@ -64,7 +64,8 @@ Result run_case(int active_mailboxes, int nic_counters, Time penalty,
         });
   }
   cluster.engine().run();
-  return {lat.mean(), receiver.stats().host_counter_packets};
+  return {lat.mean(),
+          cluster.collect_metrics().counters.at("rvma.host_counter_packets")};
 }
 
 }  // namespace

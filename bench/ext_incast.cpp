@@ -57,7 +57,8 @@ int main(int argc, char** argv) {
           MotifRunner(cluster, transport, build_incast(cfg)).run();
       rdma_time = r.makespan;
       rdma_ctrl = r.transport.control_messages;
-      regions = transport.endpoint(0).stats().regions_registered;
+      regions =
+          cluster.collect_metrics().counters.at("rdma.regions_registered");
     }
     {
       cluster::Cluster cluster(net_cfg, nic::NicParams{});

@@ -103,7 +103,8 @@ int main(int argc, char** argv) {
               format_time(cluster.engine().now()).c_str(),
               static_cast<unsigned long long>(nacks),
               static_cast<unsigned long long>(
-                  server.stats().drops_no_buffer));
+                  cluster.collect_metrics().counters.at(
+                      "rvma.drops_no_buffer")));
   for (int c = 1; c <= clients; ++c) {
     if (per_client[c] != static_cast<std::uint64_t>(requests)) {
       std::printf("  client %d: %llu/%d records\n", c,

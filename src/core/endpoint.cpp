@@ -269,7 +269,6 @@ void RvmaEndpoint::send_nack(NodeId to, net::Pid to_pid, std::uint64_t vaddr,
   RVMA_FREC(engine_, engine_.now(), obs::SpanKind::kDrop, msg_id, node(),
             static_cast<std::int64_t>(reason));
   if (!params_.nacks_enabled) return;
-  ++stats_.nacks_sent;
   c_nacks_sent_->inc();
   net::Message msg;
   msg.dst = to;
@@ -301,7 +300,6 @@ void RvmaEndpoint::handle_packet(const net::Packet& pkt) {
           it = lut_.find(kCatchAllVaddr);
           via_catch_all = true;
           if (it == lut_.end()) {
-            ++stats_.drops_no_mailbox;
             c_drops_no_mailbox_->inc();
             send_nack(copy.src, copy.msg->hdr.src_pid, vaddr, copy.msg->id,
                       Status::kNoMailbox);
@@ -310,7 +308,6 @@ void RvmaEndpoint::handle_packet(const net::Packet& pkt) {
         }
         Mailbox& mb = it->second.mb;
         if (mb.closed()) {
-          ++stats_.drops_closed;
           c_drops_closed_->inc();
           send_nack(copy.src, copy.msg->hdr.src_pid, vaddr, copy.msg->id,
                     Status::kClosed);
@@ -318,14 +315,12 @@ void RvmaEndpoint::handle_packet(const net::Packet& pkt) {
         }
         if (!via_catch_all && params_.enforce_keys && mb.key() != 0 &&
             copy.msg->hdr.imm != mb.key()) {
-          ++stats_.drops_bad_key;
           c_drops_bad_key_->inc();
           send_nack(copy.src, copy.msg->hdr.src_pid, vaddr, copy.msg->id,
                     Status::kError);
           return;
         }
         if (!mb.has_active()) {
-          ++stats_.drops_no_buffer;
           c_drops_no_buffer_->inc();
           send_nack(copy.src, copy.msg->hdr.src_pid, vaddr, copy.msg->id,
                     Status::kNoBuffer);
@@ -336,13 +331,11 @@ void RvmaEndpoint::handle_packet(const net::Packet& pkt) {
         if (mb.active().counter_on_nic) {
           process_put(copy, mb, via_catch_all);
         } else {
-          ++stats_.host_counter_packets;
           c_host_counter_packets_->inc();
           engine_.schedule(params_.host_counter_penalty,
                            [this, copy, &mb, via_catch_all] {
                              if (!mb.has_active() || mb.closed()) {
                                // Counted and recorded, but not NACKed.
-                               ++stats_.drops_no_buffer;
                                c_drops_no_buffer_->inc();
                                RVMA_FREC(engine_, engine_.now(),
                                          obs::SpanKind::kDrop, copy.msg->id,
@@ -359,7 +352,6 @@ void RvmaEndpoint::handle_packet(const net::Packet& pkt) {
     }
 
     case kRvmaNack: {
-      ++stats_.nacks_received;
       c_nacks_received_->inc();
       if (nack_fn_) {
         nack_fn_(pkt.msg->hdr.addr, static_cast<Status>(pkt.msg->hdr.imm));
@@ -403,12 +395,8 @@ void RvmaEndpoint::process_put(const net::Packet& pkt, Mailbox& mb,
                                bool via_catch_all) {
   const bool managed =
       mb.placement() == Placement::kManaged || via_catch_all;
-  ++stats_.packets_received;
   c_packets_->inc();
-  if (via_catch_all) {
-    ++stats_.catch_all_packets;
-    c_catch_all_->inc();
-  }
+  if (via_catch_all) c_catch_all_->inc();
 
   // Place the packet's payload. Steered mode lands at the initiator's
   // offset within the active buffer; receiver-managed (stream) mode
@@ -419,7 +407,6 @@ void RvmaEndpoint::process_put(const net::Packet& pkt, Mailbox& mb,
   bool completed_any = false;
   while (remaining > 0) {
     if (!mb.has_active()) {
-      ++stats_.drops_no_buffer;
       c_drops_no_buffer_->inc();
       send_nack(pkt.src, pkt.msg->hdr.src_pid, pkt.msg->hdr.addr, pkt.msg->id,
                 Status::kNoBuffer);
@@ -430,7 +417,6 @@ void RvmaEndpoint::process_put(const net::Packet& pkt, Mailbox& mb,
     const std::uint64_t place_at =
         managed ? buf.write_cursor : pkt.msg->hdr.offset + src_off;
     if (place_at + remaining > buf.size && !managed) {
-      ++stats_.drops_overflow;
       c_drops_overflow_->inc();
       send_nack(pkt.src, pkt.msg->hdr.src_pid, pkt.msg->hdr.addr, pkt.msg->id,
                 Status::kOverflow);
@@ -443,7 +429,6 @@ void RvmaEndpoint::process_put(const net::Packet& pkt, Mailbox& mb,
     }
     buf.write_cursor = place_at + chunk;
     buf.bytes_received += chunk;
-    stats_.bytes_received += chunk;
     c_bytes_->inc(chunk);
     src_off += chunk;
     remaining -= chunk;
@@ -462,7 +447,6 @@ void RvmaEndpoint::process_put(const net::Packet& pkt, Mailbox& mb,
     if (++it->second < pkt.total) return;
     msg_arrived_.erase(it);
   }
-  ++stats_.puts_received;
   c_puts_->inc();
   // Message::id packs (src_node << 40) | per-sender post counter, so the
   // low 40 bits order this sender's posts; the mailbox turns them into
@@ -510,13 +494,7 @@ void RvmaEndpoint::complete_active(Mailbox& mb, bool soft) {
 
   mb.retire_active(soft);  // non-empty: checked above, cannot fail
   c_buffers_retired_->inc();
-  if (soft) {
-    ++stats_.soft_completions;
-    c_soft_completions_->inc();
-  } else {
-    ++stats_.completions;
-    c_completions_->inc();
-  }
+  (soft ? c_soft_completions_ : c_completions_)->inc();
   RVMA_FREC(engine_, engine_.now(), obs::SpanKind::kCompletion, vaddr, node(),
             static_cast<std::int64_t>(lat));
   if (mb.has_active()) {

@@ -71,9 +71,11 @@ class RvmaEndpoint {
   int num_nodes() const { return nic_.num_nodes(); }
   net::Pid pid() const { return pid_; }
   const RvmaParams& params() const { return params_; }
-  const RvmaStats& stats() const { return stats_; }
   const CounterPool& counter_pool() const { return counters_; }
   sim::Engine& engine() { return engine_; }
+  /// The NIC's instrument registry, for middleware layered on this
+  /// endpoint (the sockets stack) to resolve its own counters.
+  obs::MetricsRegistry& metrics() { return nic_.metrics(); }
 
   // ----------------------------------------------------------- target side
   /// RVMA_Init_window: create the mailbox for `vaddr` in the LUT.
@@ -200,12 +202,11 @@ class RvmaEndpoint {
   sim::Engine& engine_;
   RvmaParams params_;
   net::Pid pid_ = 0;
-  RvmaStats stats_;
   CounterPool counters_;
 
-  /// Registry mirrors of stats_ (shared across endpoints on one Cluster),
-  /// resolved once from the NIC's registry at construction. The stats_
-  /// accessors above stay per-instance and exact.
+  /// The endpoint's `rvma.*` instruments, shared with every endpoint on
+  /// the NIC's registry (one per Cluster shard) and resolved once at
+  /// construction. They are the only place the endpoint counts.
   obs::Counter* c_puts_;
   obs::Counter* c_packets_;
   obs::Counter* c_bytes_;

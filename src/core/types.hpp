@@ -63,21 +63,4 @@ struct RvmaParams {
 /// catch-all mailboxes for messages whose vaddr has no posted buffers).
 inline constexpr std::uint64_t kCatchAllVaddr = ~std::uint64_t{0};
 
-struct RvmaStats {
-  std::uint64_t puts_received = 0;        ///< fully arrived put operations
-  std::uint64_t packets_received = 0;
-  std::uint64_t bytes_received = 0;
-  std::uint64_t completions = 0;          ///< hardware epoch completions
-  std::uint64_t soft_completions = 0;     ///< inc_epoch pre-emptions
-  std::uint64_t nacks_sent = 0;
-  std::uint64_t nacks_received = 0;
-  std::uint64_t drops_no_mailbox = 0;
-  std::uint64_t drops_closed = 0;
-  std::uint64_t drops_no_buffer = 0;
-  std::uint64_t drops_overflow = 0;
-  std::uint64_t drops_bad_key = 0;
-  std::uint64_t catch_all_packets = 0;
-  std::uint64_t host_counter_packets = 0; ///< packets counted via host spill
-};
-
 }  // namespace rvma::core

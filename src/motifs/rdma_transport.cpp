@@ -13,9 +13,13 @@ RdmaTransport::RdmaTransport(cluster::Cluster& cluster,
       ordered_network_(ordered_network),
       slots_(slots < 1 ? 1 : slots) {
   endpoints_.reserve(cluster.num_nodes());
+  node_counters_.reserve(cluster.num_nodes());
   for (int node = 0; node < cluster.num_nodes(); ++node) {
     endpoints_.push_back(
         std::make_unique<rdma::RdmaEndpoint>(cluster.nic(node), params));
+    obs::MetricsRegistry& registry = cluster.nic(node).metrics();
+    node_counters_.push_back({&registry.counter("rdma.control_messages"),
+                              &registry.counter("rdma.credit_stalls")});
   }
 }
 
@@ -48,7 +52,7 @@ void RdmaTransport::setup(const std::vector<Channel>& channels,
   }
   for (ChannelId id = 0; id < channels_.size(); ++id) {
     ChannelState* cs = &channels_[id];
-    cs->ctrl_src += 2;  // request + reply
+    node_counters_[cs->ch.src].control->inc(2);  // request + reply
     endpoints_[cs->ch.src]->request_buffer(
         cs->ch.dst, cs->ch.bytes * static_cast<std::uint64_t>(slots_),
         [cs, pending, ready](rdma::RemoteBuffer rb) {
@@ -103,7 +107,7 @@ void RdmaTransport::grant_credit(ChannelId id) {
   // Return a credit: the initiator owns the region, so the target must
   // tell it when a slot is safe to overwrite.
   ++cs.credits_granted;
-  ++cs.ctrl_dst;
+  node_counters_[cs.ch.dst].control->inc();
   endpoints_[cs.ch.dst]->send(cs.ch.src, (kImmCredit << 32) | id);
 }
 
@@ -122,7 +126,7 @@ void RdmaTransport::recv_post(ChannelId id) {
 void RdmaTransport::send(ChannelId id, std::function<void()> done) {
   ChannelState& cs = channels_[id];
   if (cs.credits == 0) {
-    ++cs.stalls;
+    node_counters_[cs.ch.src].stalls->inc();
     cs.credit_waiter.park(std::move(done));
     return;
   }
@@ -133,7 +137,6 @@ void RdmaTransport::issue_send(ChannelId id, std::function<void()> done) {
   ChannelState& cs = channels_[id];
   assert(cs.credits > 0);
   --cs.credits;
-  ++cs.sent;
   const std::uint64_t slot = cs.send_seq % static_cast<std::uint64_t>(slots_);
   ++cs.send_seq;
   const int src = cs.ch.src;
@@ -147,8 +150,8 @@ void RdmaTransport::issue_send(ChannelId id, std::function<void()> done) {
       cs.remote, slot * cs.ch.bytes, nullptr, cs.ch.bytes,
       [this, src, dst, id] {
         if (!ordered_network_) {
-          // Local completion fires on src's shard thread: src-side counter.
-          ++channels_[id].ctrl_src;
+          // Local completion fires on src's shard thread.
+          node_counters_[src].control->inc();
           endpoints_[src]->send(dst, (kImmComplete << 32) | id);
         }
       },
@@ -166,12 +169,13 @@ void RdmaTransport::recv_wait(ChannelId id, std::function<void()> done) {
 }
 
 const TransportStats& RdmaTransport::stats() const {
+  // Control messages and stalls are the Cluster registry's totals over all
+  // shards: this transport's, as one RDMA transport runs per Cluster.
+  const obs::MetricsSnapshot metrics = cluster_.collect_metrics();
   stats_ = TransportStats{};
-  for (const ChannelState& cs : channels_) {
-    stats_.data_messages += cs.sent;
-    stats_.control_messages += cs.ctrl_src + cs.ctrl_dst;
-    stats_.credit_stalls += cs.stalls;
-  }
+  for (const ChannelState& cs : channels_) stats_.data_messages += cs.send_seq;
+  stats_.control_messages = metrics.counters.at("rdma.control_messages");
+  stats_.credit_stalls = metrics.counters.at("rdma.credit_stalls");
   return stats_;
 }
 

@@ -52,20 +52,16 @@ class RdmaTransport final : public Transport {
   // shard_of(src) (send/issue_send and the credit arrivals pumped through
   // src's recv CQ), receiver-side fields only from events on shard_of(dst)
   // (recv_post/recv_wait, last-byte polls, completion sends through dst's
-  // CQ). Stats counters are therefore split per side and aggregated in
-  // stats(); a shared TransportStats total would race.
+  // CQ). For the same reason each control message and credit stall counts
+  // into the registry of the node whose event counts it (node_counters_).
   struct ChannelState {
     Channel ch;
     // Sender side.
     rdma::RemoteBuffer remote;
     int credits = 0;
-    std::uint64_t send_seq = 0;
-    std::uint64_t sent = 0;
-    std::uint64_t stalls = 0;
-    std::uint64_t ctrl_src = 0;  ///< handshakes + trailing completion sends
+    std::uint64_t send_seq = 0;  ///< data messages put on this channel
     WaiterSlot credit_waiter;    ///< a send stalled for credit
     // Receiver side.
-    std::uint64_t ctrl_dst = 0;  ///< credit sends
     std::uint64_t region_addr = 0;
     std::uint64_t arm_seq = 0;
     std::uint64_t credits_granted = 0;  ///< credits sent to the initiator
@@ -90,7 +86,15 @@ class RdmaTransport final : public Transport {
   int slots_;
   std::vector<std::unique_ptr<rdma::RdmaEndpoint>> endpoints_;
   std::vector<ChannelState> channels_;  ///< indexed by ChannelId
-  mutable TransportStats stats_;  ///< scratch for stats() aggregation
+  /// `rdma.control_messages` (handshakes, credits, trailing completion
+  /// sends) and `rdma.credit_stalls` on each node's shard registry,
+  /// indexed by node.
+  struct NodeCounters {
+    obs::Counter* control;
+    obs::Counter* stalls;
+  };
+  std::vector<NodeCounters> node_counters_;
+  mutable TransportStats stats_;  ///< scratch for stats() assembly
 };
 
 }  // namespace rvma::motifs

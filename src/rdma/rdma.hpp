@@ -72,15 +72,6 @@ struct Completion {
   Time arrived_at = 0;
 };
 
-struct RdmaStats {
-  std::uint64_t regions_registered = 0;
-  std::uint64_t handshakes_served = 0;
-  std::uint64_t puts_received = 0;
-  std::uint64_t put_acks = 0;
-  std::uint64_t sends_received = 0;
-  std::uint64_t premature_flag_fires = 0;
-};
-
 class RdmaEndpoint {
  public:
   /// Allocates backing memory for a handshake-requested region of `size`
@@ -99,7 +90,6 @@ class RdmaEndpoint {
   NodeId node() const { return nic_.node(); }
   net::Pid pid() const { return pid_; }
   const RdmaParams& params() const { return params_; }
-  const RdmaStats& stats() const { return stats_; }
 
   // ---------------------------------------------------------------- target
   /// Register a memory region; `done(addr)` fires after the registration
@@ -194,8 +184,16 @@ class RdmaEndpoint {
   nic::Nic& nic_;
   sim::Engine& engine_;
   RdmaParams params_;
-  RdmaStats stats_;
   net::Pid pid_ = 0;
+
+  /// The endpoint's `rdma.*` instruments on the NIC's registry (one per
+  /// Cluster shard), resolved once at construction.
+  obs::Counter* c_regions_registered_;
+  obs::Counter* c_handshakes_served_;
+  obs::Counter* c_puts_received_;
+  obs::Counter* c_put_acks_;
+  obs::Counter* c_sends_received_;
+  obs::Counter* c_premature_flag_fires_;
 
   std::unordered_map<std::uint64_t, Region> regions_;
   std::uint64_t next_region_addr_ = 0x1000;

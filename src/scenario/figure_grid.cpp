@@ -395,6 +395,16 @@ int run_figure_cli(GridSpec grid, int argc, char** argv) {
     std::printf("grid spec written to %s\n", emit_path.c_str());
     return 0;
   }
+  if (grid.base.sample_period > 0 && grid.base.par_shards > 1) {
+    // stderr: stdout is the table that run_bench byte-compares.
+    std::fprintf(stderr,
+                 "note: --metrics samples gauges every %lld us, and sampled "
+                 "cells run on one shard, not %d; --metrics-period-us=0 "
+                 "shards them\n",
+                 static_cast<long long>(grid.base.sample_period /
+                                        kMicrosecond),
+                 grid.base.par_shards);
+  }
   return run_grid_with_output(grid, opts);
 }
 

@@ -40,21 +40,11 @@ struct SocketParams {
 
 using ConnId = std::uint32_t;
 
-struct SocketStats {
-  std::uint64_t connections_accepted = 0;
-  std::uint64_t connections_opened = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t bytes_received = 0;
-  std::uint64_t segments_completed = 0;
-  std::uint64_t partial_claims = 0;  ///< inc_epoch pre-emptions
-};
-
 class SocketStack {
  public:
   SocketStack(core::RvmaEndpoint& ep, const SocketParams& params);
 
   NodeId node() const { return ep_.node(); }
-  const SocketStats& stats() const { return stats_; }
 
   /// Accept connections on `port`; `on_accept` fires per new connection.
   void listen(std::uint16_t port, std::function<void(ConnId)> on_accept);
@@ -121,7 +111,16 @@ class SocketStack {
 
   core::RvmaEndpoint& ep_;
   SocketParams params_;
-  SocketStats stats_;
+
+  /// The stack's `sockets.*` instruments on its endpoint's registry,
+  /// resolved once at construction.
+  obs::Counter* c_connections_accepted_;
+  obs::Counter* c_connections_opened_;
+  obs::Counter* c_bytes_sent_;
+  obs::Counter* c_bytes_received_;
+  obs::Counter* c_segments_completed_;
+  obs::Counter* c_partial_claims_;  ///< inc_epoch pre-emptions
+
   std::unordered_map<ConnId, Connection> conns_;
   std::unordered_map<std::uint16_t, std::function<void(ConnId)>> listeners_;
   ConnId next_conn_ = 1;

@@ -631,33 +631,21 @@ ScenarioResult run_ok(const ScenarioSpec& spec) {
   return result;
 }
 
-/// Engine-internal scheduler counters differ between the serial and the
-/// windowed scheduler by construction (window wake events); the repo's
-/// shards-vs-serial identity contract (test_pdes_matrix) compares
-/// everything observable EXCEPT those. Same normalization here.
-ScenarioResult normalize_engine_internals(ScenarioResult r) {
-  r.engine_events = 0;
-  r.metrics.counters.erase("engine.events_executed");
-  r.metrics.counters.erase("engine.events_scheduled");
-  return r;
-}
-
 /// Acceptance gate: every new motif runs on all five topologies and the
 /// sharded runs (--par-shards 2 and 4) are byte-identical to serial in
-/// every application-visible field.
+/// every field, the engine's event counts included.
 TEST(ApiMotifIdentity, SerialVsShardsAcrossTopologies) {
   const std::vector<std::string> topologies = {"star", "torus3d", "fattree",
                                                "dragonfly", "hyperx"};
   for (const std::string& motif : {"remote_paging", "kv_store", "alltoall"}) {
     for (const std::string& topo : topologies) {
       ScenarioSpec spec = motif_spec(motif, topo);
-      const ScenarioResult serial = normalize_engine_internals(run_ok(spec));
+      const ScenarioResult serial = run_ok(spec);
       EXPECT_GT(serial.makespan, 0) << motif << "/" << topo;
       EXPECT_GT(serial.packets_delivered, 0u) << motif << "/" << topo;
       for (int shards : {2, 4}) {
         spec.par_shards = shards;
-        const ScenarioResult sharded =
-            normalize_engine_internals(run_ok(spec));
+        const ScenarioResult sharded = run_ok(spec);
         EXPECT_EQ(sharded, serial)
             << motif << "/" << topo << " @ par_shards=" << shards;
       }

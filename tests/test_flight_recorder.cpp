@@ -432,7 +432,8 @@ TEST(DropSpans, EachRefusedPutRecordsOneDropWithItsReason) {
     // One drop span per drop counted, NACKed or not; the penalty-path
     // drop is the one that sends no NACK.
     EXPECT_EQ(drop_counter_total(cluster.collect_metrics()), drops.size());
-    EXPECT_EQ(receiver.stats().nacks_sent, nacks ? 3u : 0u);
+    EXPECT_EQ(cluster.collect_metrics().counters.at("rvma.nacks_sent"),
+              nacks ? 3u : 0u);
 
     const std::string dump_path = ::testing::TempDir() + "flight_drops.rvfr";
     std::string error;

@@ -159,12 +159,12 @@ Halo3DConfig halo27() {
   return cfg;
 }
 
-/// Everything a motif run observes, minus engine_events (sharded runs
-/// execute extra window-boundary bookkeeping events; DESIGN.md §12).
+/// Everything a motif run observes, the engine's event counts included:
+/// a sharded run executes exactly the serial run's events (DESIGN.md §12).
 struct Observed {
   MotifResult result;
   net::FabricStats fabric;
-  obs::MetricsSnapshot metrics;  ///< minus the engine's own event counts
+  obs::MetricsSnapshot metrics;
 };
 
 template <typename MakeTransport>
@@ -178,8 +178,6 @@ Observed run_halo(int par_shards, MakeTransport make,
   obs.result = MotifRunner(cluster, *transport, build_halo3d(halo)).run();
   obs.fabric = cluster.fabric_stats();
   obs.metrics = cluster.collect_metrics();
-  obs.metrics.counters.erase("engine.events_executed");
-  obs.metrics.counters.erase("engine.events_scheduled");
   return obs;
 }
 
@@ -195,6 +193,7 @@ void expect_identical(const Observed& serial, const Observed& sharded) {
   EXPECT_EQ(serial.result.makespan, sharded.result.makespan);
   EXPECT_EQ(serial.result.setup_done, sharded.result.setup_done);
   EXPECT_EQ(serial.result.ops_executed, sharded.result.ops_executed);
+  EXPECT_EQ(serial.result.engine_events, sharded.result.engine_events);
   EXPECT_EQ(serial.result.transport.data_messages,
             sharded.result.transport.data_messages);
   EXPECT_EQ(serial.result.transport.control_messages,
@@ -247,9 +246,9 @@ TEST(PdesExactness, SocketsWindowedMatchesSerial) {
 }
 
 // rma and portals resume a receiver from recv_wait. On the 27-node halo
-// a continuation on the wrong shard's engine changes only engine events,
-// which are excluded; this 512-rank cell (8x8x8 torus, 8^3 cells and 4
-// variables a rank, 2 iterations) shows it in the makespan at K=4.
+// a continuation on the wrong shard's engine moves only engine event
+// counts; this 512-rank cell (8x8x8 torus, 8^3 cells and 4 variables a
+// rank, 2 iterations) shows it in the makespan at K=4 as well.
 template <typename MakeTransport>
 void expect_512_windowed_matches_serial(MakeTransport make) {
   net::NetworkConfig torus = torus27(net::Routing::kStatic);

@@ -291,7 +291,7 @@ TEST(ShardedEngineMatrix, UnreachablePairNeverConstrainsWindow) {
 struct Observed {
   MotifResult result;
   net::FabricStats fabric;
-  obs::MetricsSnapshot metrics;  ///< minus the engine's own event counts
+  obs::MetricsSnapshot metrics;  ///< engine event counts included
   int shards = 1;
 };
 
@@ -318,8 +318,6 @@ Observed run_halo(net::TopologyKind kind, int par_shards,
   obs.result = MotifRunner(cluster, *transport, build_halo3d(halo)).run();
   obs.fabric = cluster.fabric_stats();
   obs.metrics = cluster.collect_metrics();
-  obs.metrics.counters.erase("engine.events_executed");
-  obs.metrics.counters.erase("engine.events_scheduled");
   obs.shards = cluster.num_shards();
   return obs;
 }

@@ -111,7 +111,7 @@ TEST(PidAddressing, RdmaHandshakeCarriesPid) {
   });
   cluster.engine().run();
   EXPECT_TRUE(done);
-  EXPECT_EQ(server.stats().puts_received, 1u);
+  EXPECT_EQ(cluster.collect_metrics().counters.at("rdma.puts_received"), 1u);
 }
 
 TEST(PidAddressing, RvmaAndRdmaProcessesAllCoexist) {

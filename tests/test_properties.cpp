@@ -217,9 +217,10 @@ TEST_P(EpochInvariantTest, EpochEqualsCompletions) {
     }
     cluster.engine().run();
   }
-  const auto& stats = receiver.stats();
+  const obs::MetricsSnapshot metrics = cluster.collect_metrics();
   EXPECT_EQ(static_cast<std::uint64_t>(win.epoch()),
-            stats.completions + stats.soft_completions);
+            metrics.counters.at("rvma.completions") +
+                metrics.counters.at("rvma.soft_completions"));
   const core::Mailbox* mb = receiver.find_mailbox(0x9);
   ASSERT_NE(mb, nullptr);
   EXPECT_LE(mb->retired().size(), 3u);

@@ -33,6 +33,11 @@ class RvmaTest : public ::testing::Test {
 
   void run() { cluster_.engine().run(); }
 
+  /// Cluster-wide registry counter; throws on a name nothing registered.
+  std::uint64_t counter(const char* name) const {
+    return cluster_.collect_metrics().counters.at(name);
+  }
+
   cluster::Cluster cluster_;
   RvmaEndpoint sender_;
   RvmaEndpoint receiver_;
@@ -55,7 +60,7 @@ TEST_F(RvmaTest, ByteThresholdCompletionWritesNotificationLine) {
   EXPECT_EQ(notif, buf.data());  // completion pointer -> buffer head
   EXPECT_EQ(len, 4096);
   EXPECT_EQ(std::memcmp(buf.data(), src.data(), src.size()), 0);
-  EXPECT_EQ(receiver_.stats().completions, 1u);
+  EXPECT_EQ(counter("rvma.completions"), 1u);
   EXPECT_EQ(win.epoch(), 1);
 }
 
@@ -68,7 +73,7 @@ TEST_F(RvmaTest, NoCompletionBelowThreshold) {
   sender_.put(1, 0x100, 0, nullptr, 1000);
   run();
   EXPECT_EQ(notif, nullptr);
-  EXPECT_EQ(receiver_.stats().completions, 0u);
+  EXPECT_EQ(counter("rvma.completions"), 0u);
   EXPECT_EQ(win.epoch(), 0);
 
   // The remaining bytes (at the right offset) complete the epoch.
@@ -92,7 +97,7 @@ TEST_F(RvmaTest, OpsThresholdCountsWholePuts) {
   sender_.put(1, 0x200, 10064, nullptr, 64);
   run();
   EXPECT_EQ(win.epoch(), 1);
-  EXPECT_EQ(receiver_.stats().puts_received, 3u);
+  EXPECT_EQ(counter("rvma.puts_received"), 3u);
 }
 
 // Paper §III-B: puts to different RVMA addresses land in different
@@ -180,10 +185,10 @@ TEST_F(RvmaTest, ClosedWindowDropsAndNacks) {
   });
   sender_.put(1, 0x300, 0, nullptr, 64);
   run();
-  EXPECT_EQ(receiver_.stats().drops_closed, 1u);
+  EXPECT_EQ(counter("rvma.drops_closed"), 1u);
   EXPECT_EQ(nack_vaddr, 0x300u);
   EXPECT_EQ(nack_reason, Status::kClosed);
-  EXPECT_EQ(sender_.stats().nacks_received, 1u);
+  EXPECT_EQ(counter("rvma.nacks_received"), 1u);
   EXPECT_EQ(win.epoch(), 0);
 }
 
@@ -192,7 +197,7 @@ TEST_F(RvmaTest, UnknownMailboxNacks) {
   sender_.on_nack([&](std::uint64_t, Status r) { reason = r; });
   sender_.put(1, 0xDEAD, 0, nullptr, 64);
   run();
-  EXPECT_EQ(receiver_.stats().drops_no_mailbox, 1u);
+  EXPECT_EQ(counter("rvma.drops_no_mailbox"), 1u);
   EXPECT_EQ(reason, Status::kNoMailbox);
 }
 
@@ -206,8 +211,8 @@ TEST_F(RvmaTest, NacksCanBeDisabled) {
   sender.on_nack([&](std::uint64_t, Status) { ++nacks; });
   sender.put(1, 0xDEAD, 0, nullptr, 64);
   cluster.engine().run();
-  EXPECT_EQ(receiver.stats().drops_no_mailbox, 1u);
-  EXPECT_EQ(receiver.stats().nacks_sent, 0u);
+  EXPECT_EQ(cluster.collect_metrics().counters.at("rvma.drops_no_mailbox"), 1u);
+  EXPECT_EQ(cluster.collect_metrics().counters.at("rvma.nacks_sent"), 0u);
   EXPECT_EQ(nacks, 0);
 }
 
@@ -217,7 +222,7 @@ TEST_F(RvmaTest, NoPostedBufferNacks) {
   sender_.on_nack([&](std::uint64_t, Status r) { reason = r; });
   sender_.put(1, 0x400, 0, nullptr, 64);
   run();
-  EXPECT_EQ(receiver_.stats().drops_no_buffer, 1u);
+  EXPECT_EQ(counter("rvma.drops_no_buffer"), 1u);
   EXPECT_EQ(reason, Status::kNoBuffer);
 }
 
@@ -229,7 +234,7 @@ TEST_F(RvmaTest, OverflowBeyondBufferExtentNacks) {
   sender_.on_nack([&](std::uint64_t, Status r) { reason = r; });
   sender_.put(1, 0x500, 32, nullptr, 64);  // 32 + 64 > 64
   run();
-  EXPECT_EQ(receiver_.stats().drops_overflow, 1u);
+  EXPECT_EQ(counter("rvma.drops_overflow"), 1u);
   EXPECT_EQ(reason, Status::kOverflow);
   EXPECT_EQ(receiver_.completions(0x500), 0u);
 }
@@ -243,8 +248,8 @@ TEST_F(RvmaTest, CatchAllReceivesUnmatchedTraffic) {
   std::vector<std::byte> payload(128, std::byte{0x5C});
   sender_.put(1, 0xFEED, 0, payload.data(), 128);  // no such mailbox
   run();
-  EXPECT_EQ(receiver_.stats().catch_all_packets, 1u);
-  EXPECT_EQ(receiver_.stats().drops_no_mailbox, 0u);
+  EXPECT_EQ(counter("rvma.catch_all_packets"), 1u);
+  EXPECT_EQ(counter("rvma.drops_no_mailbox"), 0u);
   EXPECT_EQ(notif, buf.data());
   EXPECT_EQ(buf[0], std::byte{0x5C});
   EXPECT_EQ(buf[127], std::byte{0x5C});
@@ -265,8 +270,8 @@ TEST_F(RvmaTest, IncEpochHandsOverPartialBuffer) {
   EXPECT_EQ(notif, buf.data());
   EXPECT_EQ(len, 600);  // partial length reported
   EXPECT_EQ(win.epoch(), 1);
-  EXPECT_EQ(receiver_.stats().soft_completions, 1u);
-  EXPECT_EQ(receiver_.stats().completions, 0u);
+  EXPECT_EQ(counter("rvma.soft_completions"), 1u);
+  EXPECT_EQ(counter("rvma.completions"), 0u);
 }
 
 TEST_F(RvmaTest, IncEpochWithoutBufferFails) {
@@ -308,7 +313,8 @@ TEST_F(RvmaTest, CounterSpillFallsBackToHostMemory) {
   sender.put(1, 0xB, 0, nullptr, 64);
   cluster.engine().run();
   EXPECT_EQ(receiver.completions(0xA) + receiver.completions(0xB), 2u);
-  EXPECT_GT(receiver.stats().host_counter_packets, 0u);
+  EXPECT_GT(cluster.collect_metrics().counters.at("rvma.host_counter_packets"),
+            0u);
 }
 
 TEST_F(RvmaTest, CounterReleasedOnCompletionIsReused) {
@@ -463,14 +469,16 @@ TEST(RvmaOpCounting, InterleavedSingleAndMultiPacketPuts) {
   const obs::MetricsSnapshot m = cluster.collect_metrics();
   EXPECT_EQ(m.counters.at("rvma.puts_received"), sizes.size());
   EXPECT_EQ(m.counters.at("rvma.packets_received"), 4 * 3 + 32u);
-  EXPECT_EQ(receiver.stats().puts_received, sizes.size());
+  EXPECT_EQ(cluster.collect_metrics().counters.at("rvma.puts_received"),
+            sizes.size());
   const obs::HistogramSnapshot& ooo =
       m.histograms.at("rvma.mailbox_ooo_degree");
   EXPECT_EQ(ooo.count, sizes.size());
   EXPECT_EQ(ooo.sum, 376u);
   EXPECT_EQ(ooo.max, 26u);
-  EXPECT_EQ(receiver.stats().host_counter_packets, 30u);
-  EXPECT_EQ(receiver.stats().completions, 4u);
+  EXPECT_EQ(cluster.collect_metrics().counters.at("rvma.host_counter_packets"),
+            30u);
+  EXPECT_EQ(cluster.collect_metrics().counters.at("rvma.completions"), 4u);
   EXPECT_EQ(op_calls, 32);  // 36 puts, 4 of them completed a buffer
 }
 

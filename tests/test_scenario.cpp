@@ -372,6 +372,73 @@ TEST(ScenarioRun, SameSpecSameResult) {
   EXPECT_EQ(a, b);
 }
 
+/// The protocol counters reach an rvma_run cell's metrics and agree with
+/// what the protocols fix by construction. An RDMA channel costs one
+/// handshake (request and reply); each message on an adaptively routed
+/// fabric costs a credit and a trailing completion send. A sockets
+/// channel is one connection, opened at the client and accepted at the
+/// server, and every byte sent is received.
+TEST(ScenarioRun, RdmaAndSocketsCellsCarryProtocolCounters) {
+  ScenarioSpec spec = smoke_spec();
+  spec.nodes = 8;
+  spec.routing = "adaptive";
+  spec.motif = "halo3d";
+  spec.motif_params = smoke_motif_params().at("halo3d");
+  std::string error;
+  const std::vector<motifs::Channel> channels =
+      motifs::MotifRunner::derive_channels(
+          motifs_registry().find(spec.motif)->build(spec, &error));
+  ASSERT_FALSE(channels.empty()) << error;
+  std::uint64_t messages = 0, bytes = 0;
+  for (const motifs::Channel& ch : channels) {
+    messages += static_cast<std::uint64_t>(ch.count);
+    bytes += ch.bytes * static_cast<std::uint64_t>(ch.count);
+  }
+
+  spec.transport = "rdma";
+  ScenarioResult rdma;
+  ASSERT_TRUE(run_scenario(spec, &rdma, &error)) << error;
+  // The same cell through the transport itself, for its TransportStats.
+  net::NetworkConfig cfg;
+  cfg.topology = topologies().find(spec.topology)->kind;
+  cfg.routing = net::Routing::kAdaptive;
+  cfg.nodes_hint = spec.nodes;
+  cfg.seed = spec.seed;
+  cluster::Cluster cluster(cfg, nic::NicParams{});
+  const std::unique_ptr<motifs::Transport> transport =
+      transports().find(spec.transport)->make(cluster, spec);
+  const motifs::MotifResult direct =
+      motifs::MotifRunner(cluster, *transport,
+                          motifs_registry().find(spec.motif)->build(spec,
+                                                                    &error))
+          .run();
+  ASSERT_EQ(direct.makespan, rdma.makespan);
+  const auto& c = rdma.metrics.counters;
+  EXPECT_EQ(c.at("rdma.control_messages"), direct.transport.control_messages);
+  EXPECT_EQ(c.at("rdma.credit_stalls"), direct.transport.credit_stalls);
+  EXPECT_EQ(direct.transport.data_messages, messages);
+  EXPECT_EQ(c.at("rdma.control_messages"), 2 * channels.size() + 2 * messages);
+  EXPECT_EQ(c.at("rdma.handshakes_served"), channels.size());
+  EXPECT_EQ(c.at("rdma.regions_registered"), channels.size());
+  EXPECT_EQ(c.at("rdma.sends_received"), 2 * messages);
+  EXPECT_EQ(c.at("rdma.puts_received"), messages);
+  EXPECT_EQ(c.at("rdma.put_acks"), messages);
+  EXPECT_EQ(c.at("rdma.premature_flag_fires"), 0u);  // no polls when adaptive
+  EXPECT_LE(c.at("rdma.credit_stalls"), messages);
+  EXPECT_EQ(c.count("sockets.bytes_sent"), 0u);
+
+  spec.transport = "sockets";
+  ScenarioResult sockets;
+  ASSERT_TRUE(run_scenario(spec, &sockets, &error)) << error;
+  const auto& s = sockets.metrics.counters;
+  EXPECT_EQ(s.at("sockets.connections_opened"), channels.size());
+  EXPECT_EQ(s.at("sockets.connections_accepted"),
+            s.at("sockets.connections_opened"));
+  EXPECT_EQ(s.at("sockets.bytes_sent"), bytes);
+  EXPECT_EQ(s.at("sockets.bytes_received"), bytes);
+  EXPECT_EQ(s.count("rdma.control_messages"), 0u);
+}
+
 /// Drop the wall-clock footer lines — the only nondeterministic output.
 std::string filter_wall_clock(const std::string& text) {
   std::istringstream in(text);
@@ -422,6 +489,57 @@ TEST(ScenarioGolden, RvmaRunReproducesLegacyFig8MiniGrid) {
 
   for (const std::string& p :
        {grid_path, table1, table4, metrics1, metrics4}) {
+    std::remove(p.c_str());
+  }
+}
+
+/// Gauge sampling runs a cell on one shard. Asking for sampling and
+/// shards at once says so on stderr, on the grid and the single-scenario
+/// paths, and leaves stdout alone.
+TEST(ScenarioCli, SampledShardedRunsNoteTheyRunOnOneShard) {
+  const std::string dir = ::testing::TempDir();
+  const std::string grid_path = dir + "note_grid.json";
+  const std::string spec_path = dir + "note_spec.json";
+  const std::string metrics = dir + "note_metrics.json";
+  const std::string out_a = dir + "note_a.txt", err_a = dir + "note_a.err";
+  const std::string out_b = dir + "note_b.txt", err_b = dir + "note_b.err";
+  const std::string note = "run on one shard";
+
+  ASSERT_EQ(run_cmd(std::string(FIG8_BIN) + " --quick --nodes=8 --emit-grid=" +
+                    grid_path + " > /dev/null"),
+            0);
+  const std::string grid_run = std::string(RVMA_RUN_BIN) + " " + grid_path +
+                               " --jobs=1 --cases=torus3d-static --gbps=100" +
+                               " --par-shards=2 --metrics=" + metrics;
+  ASSERT_EQ(run_cmd(grid_run + " > " + out_a + " 2> " + err_a), 0);
+  ASSERT_EQ(run_cmd(grid_run + " --metrics-period-us=0 > " + out_b + " 2> " +
+                    err_b),
+            0);
+  EXPECT_NE(read_file(err_a).find(note), std::string::npos);
+  EXPECT_NE(read_file(err_a).find("--metrics-period-us=0"), std::string::npos);
+  EXPECT_EQ(read_file(err_b).find(note), std::string::npos);
+  EXPECT_EQ(read_file(out_a).find(note), std::string::npos);
+  EXPECT_EQ(filter_wall_clock(read_file(out_a)),
+            filter_wall_clock(read_file(out_b)));
+
+  ScenarioSpec spec = smoke_spec();
+  {
+    std::ofstream out(spec_path);
+    out << to_json(spec);
+  }
+  const std::string single_run =
+      std::string(RVMA_RUN_BIN) + " " + spec_path + " --par-shards=2";
+  ASSERT_EQ(run_cmd(single_run + " --sample-period=10us > " + out_a + " 2> " +
+                    err_a),
+            0);
+  ASSERT_EQ(run_cmd(single_run + " > " + out_b + " 2> " + err_b), 0);
+  EXPECT_NE(read_file(err_a).find("runs on one shard"), std::string::npos);
+  EXPECT_NE(read_file(err_a).find("--sample-period=0"), std::string::npos);
+  EXPECT_EQ(read_file(err_b).find("one shard"), std::string::npos);
+  EXPECT_EQ(read_file(out_a), read_file(out_b));
+
+  for (const std::string& p :
+       {grid_path, spec_path, metrics, out_a, err_a, out_b, err_b}) {
     std::remove(p.c_str());
   }
 }

@@ -295,7 +295,8 @@ echo "sweep: tables identical at jobs=1 and jobs=$jobs"
 # --- Metrics smoke gate -------------------------------------------------
 # The metrics documents must be byte-identical across job counts, parse
 # cleanly, and contain the required instruments, a populated latency
-# histogram, and sampled gauge timeseries.
+# histogram, and sampled gauge timeseries. The fig8 grid has RDMA cells,
+# so the RDMA transport's rdma.* instruments are required too.
 if ! cmp -s "$tmp_dir/serial_metrics.json" "$tmp_dir/parallel_metrics.json"
 then
   echo "ERROR: metrics document differs between jobs=1 and jobs=$jobs" >&2
@@ -304,6 +305,7 @@ fi
 "$build_dir/tools/rvma_metrics" check "$tmp_dir/parallel_metrics.json" \
   fabric.packets_delivered fabric.pkt_latency_ns rvma.completions \
   engine.events_executed nic.messages_sent \
+  rdma.control_messages rdma.credit_stalls rdma.handshakes_served \
   --need-histogram --need-timeseries
 "$build_dir/tools/rvma_metrics" summarize "$tmp_dir/parallel_metrics.json" \
   > /dev/null
@@ -339,9 +341,9 @@ echo "scenario: rvma_run table and metrics byte-identical to the bench"
 # (DESIGN.md §12). Both replays turn gauge sampling off
 # (--metrics-period-us=0): the scenario runner runs a sampled cell on
 # one shard, so with sampling on the "sharded" replay would be serial.
-# --pdes-profile proves every cell ran on more than one shard. The
-# engine-event lines and instruments are filtered, as sharded runs may
-# count window bookkeeping; every simulated observable must match.
+# --pdes-profile proves every cell ran on more than one shard. Engine
+# event counts are compared too: a sharded run executes exactly the
+# serial run's events.
 echo "pdes: sharded replay (--par-shards=8)"
 "$build_dir/tools/rvma_run" "$tmp_dir/fig8_grid.json" --jobs=1 \
   --metrics-period-us=0 \
@@ -352,21 +354,15 @@ echo "pdes: sharded replay (--par-shards=8)"
   --metrics="$tmp_dir/pdes_metrics.json" > "$tmp_dir/pdes.txt"
 for f in unsampled pdes; do
   grep -v '^grid wall-clock\|^speedup vs serial\|^metrics written' \
-    "$tmp_dir/$f.txt" | grep -v 'engine events' \
-    > "$tmp_dir/${f}_pdes_table.txt"
+    "$tmp_dir/$f.txt" > "$tmp_dir/${f}_pdes_table.txt"
 done
-grep -v 'engine.events' "$tmp_dir/unsampled_metrics.json" \
-  > "$tmp_dir/serial_pdes_metrics.json"
-grep -v 'engine.events' "$tmp_dir/pdes_metrics.json" \
-  > "$tmp_dir/sharded_pdes_metrics.json"
 if ! diff -u "$tmp_dir/unsampled_pdes_table.txt" \
   "$tmp_dir/pdes_pdes_table.txt"
 then
   echo "ERROR: --par-shards=8 changed the rvma_run table" >&2
   exit 1
 fi
-if ! cmp -s "$tmp_dir/serial_pdes_metrics.json" \
-  "$tmp_dir/sharded_pdes_metrics.json"
+if ! cmp -s "$tmp_dir/unsampled_metrics.json" "$tmp_dir/pdes_metrics.json"
 then
   echo "ERROR: --par-shards=8 changed the metrics document" >&2
   exit 1
@@ -416,17 +412,13 @@ echo "recorder: armed replay (--flight-recorder --par-shards=8)"
   --flight-recorder="$tmp_dir/frec_pdes.rvfr" \
   --metrics="$tmp_dir/frec_pdes_metrics.json" > "$tmp_dir/frec_pdes.txt"
 grep -v '^grid wall-clock\|^speedup vs serial\|^metrics written' \
-  "$tmp_dir/frec_pdes.txt" | grep -v 'engine events' \
-  > "$tmp_dir/frec_pdes_table.txt"
+  "$tmp_dir/frec_pdes.txt" > "$tmp_dir/frec_pdes_table.txt"
 if ! diff -u "$tmp_dir/pdes_pdes_table.txt" "$tmp_dir/frec_pdes_table.txt"
 then
   echo "ERROR: --flight-recorder at --par-shards=8 changed the table" >&2
   exit 1
 fi
-grep -v 'engine.events' "$tmp_dir/frec_pdes_metrics.json" \
-  > "$tmp_dir/frec_pdes_metrics_filtered.json"
-if ! cmp -s "$tmp_dir/sharded_pdes_metrics.json" \
-  "$tmp_dir/frec_pdes_metrics_filtered.json"
+if ! cmp -s "$tmp_dir/pdes_metrics.json" "$tmp_dir/frec_pdes_metrics.json"
 then
   echo "ERROR: --flight-recorder at --par-shards=8 changed the metrics" >&2
   exit 1
@@ -540,10 +532,8 @@ echo "paper-scale: serial replay of the sweep3d_df cell"
   --metrics="$tmp_dir/paper_sweep3d_df_serial.json" \
   > "$tmp_dir/paper_sweep3d_df_serial.txt"
 for run in sweep3d_df sweep3d_df_serial; do
-  grep -v 'engine events\|^metrics written' "$tmp_dir/paper_$run.txt" \
+  grep -v '^metrics written' "$tmp_dir/paper_$run.txt" \
     > "$tmp_dir/paper_${run}_table.txt"
-  grep -v 'engine.events' "$tmp_dir/paper_$run.json" \
-    > "$tmp_dir/paper_${run}_metrics.json"
 done
 if ! cmp -s "$tmp_dir/paper_sweep3d_df_table.txt" \
   "$tmp_dir/paper_sweep3d_df_serial_table.txt"
@@ -553,8 +543,8 @@ then
   echo "ERROR: --par-shards=4 changed the dragonfly-adaptive cell" >&2
   exit 1
 fi
-if ! cmp -s "$tmp_dir/paper_sweep3d_df_metrics.json" \
-  "$tmp_dir/paper_sweep3d_df_serial_metrics.json"
+if ! cmp -s "$tmp_dir/paper_sweep3d_df.json" \
+  "$tmp_dir/paper_sweep3d_df_serial.json"
 then
   echo "ERROR: --par-shards=4 changed the dragonfly-adaptive metrics" >&2
   exit 1

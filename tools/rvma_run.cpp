@@ -81,6 +81,12 @@ int run_single(const std::string& text, int argc, char** argv) {
     std::fprintf(stderr, "rvma_run: %s\n", error.c_str());
     return 2;
   }
+  if (spec.sample_period > 0 && spec.par_shards > 1) {
+    std::fprintf(stderr,
+                 "note: a sampled cell (sample_period %s) runs on one "
+                 "shard, not %d; --sample-period=0 shards it\n",
+                 format_time(spec.sample_period).c_str(), spec.par_shards);
+  }
 
   ScenarioResult result;
   RunTiming timing;
