@@ -263,13 +263,8 @@ void Cluster::enable_sampling(Time period) {
   shards_[0]->engine.set_sampler(sampler_.get());
 }
 
-void Cluster::run(const std::function<bool()>& merged_until) {
-  if (!sharded()) {
-    shards_[0]->engine.run();
-    return;
-  }
-  if (merged_until) sharded_.run_merged_until(merged_until);
-  sharded_.run_windowed();
+Time Cluster::run() {
+  return sharded() ? sharded_.run_windowed() : shards_[0]->engine.run();
 }
 
 std::uint64_t Cluster::events_executed() const {

@@ -20,7 +20,6 @@
 // lookahead (a zero-latency crossing link, or no crossing link at all).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -88,12 +87,12 @@ class Cluster {
     return lookahead_matrix_;
   }
 
-  /// Run the simulation to completion: shard 0's engine when serial, the
-  /// windowed shard loop when sharded. A sharded run first executes in
-  /// merged serial-emulation mode until `merged_until` returns true (for
-  /// set-up handshakes that ping-pong below any lookahead); an empty
-  /// predicate skips that phase.
-  void run(const std::function<bool()>& merged_until = {});
+  /// Run until no event is pending: shard 0's engine when serial, the
+  /// windowed shard loop when sharded. Returns the instant of the last
+  /// event executed (the clock when none ran); on return every shard
+  /// engine is idle with its clock at that instant, so work scheduled
+  /// between two runs anchors where a serial engine's would.
+  Time run();
 
   /// Events executed so far, summed over every shard's engine.
   std::uint64_t events_executed() const;
@@ -105,6 +104,10 @@ class Cluster {
   /// The cluster-wide instrument registry every layer records into
   /// (shard 0's registry when sharded — use collect_metrics() for totals).
   obs::MetricsRegistry& metrics() { return shards_[0]->metrics; }
+  /// Shard k's registry: the one every NIC on shard k counts into.
+  obs::MetricsRegistry& metrics_for_shard(int k) {
+    return shards_[static_cast<std::size_t>(k)]->metrics;
+  }
   obs::Sampler& sampler() { return *sampler_; }
 
   /// Arm simulated-time gauge sampling (engine.heap_depth, in-flight

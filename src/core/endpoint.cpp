@@ -40,34 +40,40 @@ std::uint64_t Window::completions() const { return ep_->completions(vaddr_); }
 
 // ----------------------------------------------------------- RvmaEndpoint
 
+RvmaInstruments::RvmaInstruments(obs::MetricsRegistry& m)
+    : puts_received(&m.counter("rvma.puts_received")),
+      packets_received(&m.counter("rvma.packets_received")),
+      bytes_received(&m.counter("rvma.bytes_received")),
+      completions(&m.counter("rvma.completions")),
+      soft_completions(&m.counter("rvma.soft_completions")),
+      nacks_sent(&m.counter("rvma.nacks_sent")),
+      nacks_received(&m.counter("rvma.nacks_received")),
+      drops_no_mailbox(&m.counter("rvma.drops_no_mailbox")),
+      drops_closed(&m.counter("rvma.drops_closed")),
+      drops_no_buffer(&m.counter("rvma.drops_no_buffer")),
+      drops_overflow(&m.counter("rvma.drops_overflow")),
+      drops_bad_key(&m.counter("rvma.drops_bad_key")),
+      catch_all_packets(&m.counter("rvma.catch_all_packets")),
+      host_counter_packets(&m.counter("rvma.host_counter_packets")),
+      buffers_posted(&m.counter("rvma.buffers_posted")),
+      buffers_retired(&m.counter("rvma.buffers_retired")),
+      nic_counters_acquired(&m.counter("rvma.nic_counters_acquired")),
+      nic_counters_released(&m.counter("rvma.nic_counters_released")),
+      completion_latency_ns(&m.histogram("rvma.completion_latency_ns")),
+      mailbox_ooo_degree(&m.histogram("rvma.mailbox_ooo_degree")) {}
+
 RvmaEndpoint::RvmaEndpoint(nic::Nic& nic, const RvmaParams& params,
                            net::Pid pid)
+    : RvmaEndpoint(nic, params, RvmaInstruments(nic.metrics()), pid) {}
+
+RvmaEndpoint::RvmaEndpoint(nic::Nic& nic, const RvmaParams& params,
+                           const RvmaInstruments& instruments, net::Pid pid)
     : nic_(nic),
       engine_(nic.engine()),
       params_(params),
       pid_(pid),
-      counters_(params.nic_counters) {
-  obs::MetricsRegistry& m = nic_.metrics();
-  c_puts_ = &m.counter("rvma.puts_received");
-  c_packets_ = &m.counter("rvma.packets_received");
-  c_bytes_ = &m.counter("rvma.bytes_received");
-  c_completions_ = &m.counter("rvma.completions");
-  c_soft_completions_ = &m.counter("rvma.soft_completions");
-  c_nacks_sent_ = &m.counter("rvma.nacks_sent");
-  c_nacks_received_ = &m.counter("rvma.nacks_received");
-  c_drops_no_mailbox_ = &m.counter("rvma.drops_no_mailbox");
-  c_drops_closed_ = &m.counter("rvma.drops_closed");
-  c_drops_no_buffer_ = &m.counter("rvma.drops_no_buffer");
-  c_drops_overflow_ = &m.counter("rvma.drops_overflow");
-  c_drops_bad_key_ = &m.counter("rvma.drops_bad_key");
-  c_catch_all_ = &m.counter("rvma.catch_all_packets");
-  c_host_counter_packets_ = &m.counter("rvma.host_counter_packets");
-  c_buffers_posted_ = &m.counter("rvma.buffers_posted");
-  c_buffers_retired_ = &m.counter("rvma.buffers_retired");
-  c_counters_acquired_ = &m.counter("rvma.nic_counters_acquired");
-  c_counters_released_ = &m.counter("rvma.nic_counters_released");
-  h_completion_latency_ns_ = &m.histogram("rvma.completion_latency_ns");
-  h_mailbox_ooo_degree_ = &m.histogram("rvma.mailbox_ooo_degree");
+      counters_(params.nic_counters),
+      ins_(instruments) {
   nic_.register_proto(
       nic::kProtoRvma,
       [this](const net::Packet& pkt) { handle_packet(pkt); }, pid_);
@@ -99,7 +105,7 @@ Status RvmaEndpoint::post_buffer(std::uint64_t vaddr,
   buf.len_ptr = len_ptr;
   const Status st = mb.post(buf);
   if (ok(st)) {
-    c_buffers_posted_->inc();
+    ins_.buffers_posted->inc();
     if (mb.posted_count() == 1) assign_counter(mb.active());
   }
   return st;
@@ -114,7 +120,7 @@ Status RvmaEndpoint::post_buffer_timing_only(std::uint64_t vaddr,
   buf.size = size;
   const Status st = mb.post(buf);
   if (ok(st)) {
-    c_buffers_posted_->inc();
+    ins_.buffers_posted->inc();
     if (mb.posted_count() == 1) assign_counter(mb.active());
   }
   return st;
@@ -134,11 +140,11 @@ Status RvmaEndpoint::free_window(std::uint64_t vaddr) {
   // Release the active buffer's on-NIC counter, if it holds one.
   if (mb.has_active() && mb.active().counter_on_nic) {
     counters_.release();
-    c_counters_released_->inc();
+    ins_.nic_counters_released->inc();
   }
   // The mailbox's still-posted buffers are discarded with it; account them
   // as retired so the posted-buffers level (posted - retired) returns to 0.
-  c_buffers_retired_->inc(mb.posted_count());
+  ins_.buffers_retired->inc(mb.posted_count());
   lut_.erase(it);  // drops the completion observer with the mailbox
   waiters_.erase(vaddr);
   op_observers_.erase(vaddr);
@@ -269,7 +275,7 @@ void RvmaEndpoint::send_nack(NodeId to, net::Pid to_pid, std::uint64_t vaddr,
   RVMA_FREC(engine_, engine_.now(), obs::SpanKind::kDrop, msg_id, node(),
             static_cast<std::int64_t>(reason));
   if (!params_.nacks_enabled) return;
-  c_nacks_sent_->inc();
+  ins_.nacks_sent->inc();
   net::Message msg;
   msg.dst = to;
   msg.bytes = params_.ctrl_bytes;
@@ -283,7 +289,7 @@ void RvmaEndpoint::send_nack(NodeId to, net::Pid to_pid, std::uint64_t vaddr,
 
 void RvmaEndpoint::assign_counter(PostedBuffer& buf) {
   buf.counter_on_nic = counters_.try_acquire();
-  if (buf.counter_on_nic) c_counters_acquired_->inc();
+  if (buf.counter_on_nic) ins_.nic_counters_acquired->inc();
 }
 
 void RvmaEndpoint::handle_packet(const net::Packet& pkt) {
@@ -300,7 +306,7 @@ void RvmaEndpoint::handle_packet(const net::Packet& pkt) {
           it = lut_.find(kCatchAllVaddr);
           via_catch_all = true;
           if (it == lut_.end()) {
-            c_drops_no_mailbox_->inc();
+            ins_.drops_no_mailbox->inc();
             send_nack(copy.src, copy.msg->hdr.src_pid, vaddr, copy.msg->id,
                       Status::kNoMailbox);
             return;
@@ -308,20 +314,20 @@ void RvmaEndpoint::handle_packet(const net::Packet& pkt) {
         }
         Mailbox& mb = it->second.mb;
         if (mb.closed()) {
-          c_drops_closed_->inc();
+          ins_.drops_closed->inc();
           send_nack(copy.src, copy.msg->hdr.src_pid, vaddr, copy.msg->id,
                     Status::kClosed);
           return;
         }
         if (!via_catch_all && params_.enforce_keys && mb.key() != 0 &&
             copy.msg->hdr.imm != mb.key()) {
-          c_drops_bad_key_->inc();
+          ins_.drops_bad_key->inc();
           send_nack(copy.src, copy.msg->hdr.src_pid, vaddr, copy.msg->id,
                     Status::kError);
           return;
         }
         if (!mb.has_active()) {
-          c_drops_no_buffer_->inc();
+          ins_.drops_no_buffer->inc();
           send_nack(copy.src, copy.msg->hdr.src_pid, vaddr, copy.msg->id,
                     Status::kNoBuffer);
           return;
@@ -331,12 +337,12 @@ void RvmaEndpoint::handle_packet(const net::Packet& pkt) {
         if (mb.active().counter_on_nic) {
           process_put(copy, mb, via_catch_all);
         } else {
-          c_host_counter_packets_->inc();
+          ins_.host_counter_packets->inc();
           engine_.schedule(params_.host_counter_penalty,
                            [this, copy, &mb, via_catch_all] {
                              if (!mb.has_active() || mb.closed()) {
                                // Counted and recorded, but not NACKed.
-                               c_drops_no_buffer_->inc();
+                               ins_.drops_no_buffer->inc();
                                RVMA_FREC(engine_, engine_.now(),
                                          obs::SpanKind::kDrop, copy.msg->id,
                                          node(),
@@ -352,7 +358,7 @@ void RvmaEndpoint::handle_packet(const net::Packet& pkt) {
     }
 
     case kRvmaNack: {
-      c_nacks_received_->inc();
+      ins_.nacks_received->inc();
       if (nack_fn_) {
         nack_fn_(pkt.msg->hdr.addr, static_cast<Status>(pkt.msg->hdr.imm));
       }
@@ -395,8 +401,8 @@ void RvmaEndpoint::process_put(const net::Packet& pkt, Mailbox& mb,
                                bool via_catch_all) {
   const bool managed =
       mb.placement() == Placement::kManaged || via_catch_all;
-  c_packets_->inc();
-  if (via_catch_all) c_catch_all_->inc();
+  ins_.packets_received->inc();
+  if (via_catch_all) ins_.catch_all_packets->inc();
 
   // Place the packet's payload. Steered mode lands at the initiator's
   // offset within the active buffer; receiver-managed (stream) mode
@@ -407,7 +413,7 @@ void RvmaEndpoint::process_put(const net::Packet& pkt, Mailbox& mb,
   bool completed_any = false;
   while (remaining > 0) {
     if (!mb.has_active()) {
-      c_drops_no_buffer_->inc();
+      ins_.drops_no_buffer->inc();
       send_nack(pkt.src, pkt.msg->hdr.src_pid, pkt.msg->hdr.addr, pkt.msg->id,
                 Status::kNoBuffer);
       return;
@@ -417,7 +423,7 @@ void RvmaEndpoint::process_put(const net::Packet& pkt, Mailbox& mb,
     const std::uint64_t place_at =
         managed ? buf.write_cursor : pkt.msg->hdr.offset + src_off;
     if (place_at + remaining > buf.size && !managed) {
-      c_drops_overflow_->inc();
+      ins_.drops_overflow->inc();
       send_nack(pkt.src, pkt.msg->hdr.src_pid, pkt.msg->hdr.addr, pkt.msg->id,
                 Status::kOverflow);
       return;
@@ -429,7 +435,7 @@ void RvmaEndpoint::process_put(const net::Packet& pkt, Mailbox& mb,
     }
     buf.write_cursor = place_at + chunk;
     buf.bytes_received += chunk;
-    c_bytes_->inc(chunk);
+    ins_.bytes_received->inc(chunk);
     src_off += chunk;
     remaining -= chunk;
 
@@ -447,11 +453,11 @@ void RvmaEndpoint::process_put(const net::Packet& pkt, Mailbox& mb,
     if (++it->second < pkt.total) return;
     msg_arrived_.erase(it);
   }
-  c_puts_->inc();
+  ins_.puts_received->inc();
   // Message::id packs (src_node << 40) | per-sender post counter, so the
   // low 40 bits order this sender's posts; the mailbox turns them into
   // an arrival-vs-post out-of-order degree.
-  h_mailbox_ooo_degree_->record(
+  ins_.mailbox_ooo_degree->record(
       mb.ooo_degree(pkt.src, pkt.msg->id & ((std::uint64_t{1} << 40) - 1)));
   RVMA_FREC(engine_, engine_.now(), obs::SpanKind::kMbMatch, pkt.msg->id,
             node(), static_cast<std::int64_t>(mb.vaddr()));
@@ -475,7 +481,7 @@ void RvmaEndpoint::complete_active(Mailbox& mb, bool soft) {
   PostedBuffer& buf = mb.active();
   if (buf.counter_on_nic) {
     counters_.release();
-    c_counters_released_->inc();
+    ins_.nic_counters_released->inc();
   }
 
   void** notif_ptr = buf.notif_ptr;
@@ -490,11 +496,11 @@ void RvmaEndpoint::complete_active(Mailbox& mb, bool soft) {
                        ? 0
                        : engine_.now() - buf.first_rx_at +
                              params_.completion_write;
-  if (lat != 0) h_completion_latency_ns_->record(lat / kNanosecond);
+  if (lat != 0) ins_.completion_latency_ns->record(lat / kNanosecond);
 
   mb.retire_active(soft);  // non-empty: checked above, cannot fail
-  c_buffers_retired_->inc();
-  (soft ? c_soft_completions_ : c_completions_)->inc();
+  ins_.buffers_retired->inc();
+  (soft ? ins_.soft_completions : ins_.completions)->inc();
   RVMA_FREC(engine_, engine_.now(), obs::SpanKind::kCompletion, vaddr, node(),
             static_cast<std::int64_t>(lat));
   if (mb.has_active()) {

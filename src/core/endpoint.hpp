@@ -56,6 +56,35 @@ class Window {
   std::uint64_t vaddr_ = 0;
 };
 
+/// The `rvma.*` instruments an endpoint counts into, resolved by name
+/// from one registry. Every endpoint on a registry (one per Cluster
+/// shard) shares them, so a transport building many endpoints resolves
+/// one set per shard and passes it to each.
+struct RvmaInstruments {
+  explicit RvmaInstruments(obs::MetricsRegistry& m);
+
+  obs::Counter* puts_received;
+  obs::Counter* packets_received;
+  obs::Counter* bytes_received;
+  obs::Counter* completions;
+  obs::Counter* soft_completions;
+  obs::Counter* nacks_sent;
+  obs::Counter* nacks_received;
+  obs::Counter* drops_no_mailbox;
+  obs::Counter* drops_closed;
+  obs::Counter* drops_no_buffer;
+  obs::Counter* drops_overflow;
+  obs::Counter* drops_bad_key;
+  obs::Counter* catch_all_packets;
+  obs::Counter* host_counter_packets;
+  obs::Counter* buffers_posted;
+  obs::Counter* buffers_retired;
+  obs::Counter* nic_counters_acquired;
+  obs::Counter* nic_counters_released;
+  obs::Histogram* completion_latency_ns;
+  obs::Histogram* mailbox_ooo_degree;
+};
+
 class RvmaEndpoint {
  public:
   using NotifyFn = std::function<void(void* buf, std::int64_t len)>;
@@ -65,6 +94,10 @@ class RvmaEndpoint {
   /// NID/PID addressing); several endpoints with distinct pids can share
   /// one NIC.
   RvmaEndpoint(nic::Nic& nic, const RvmaParams& params, net::Pid pid = 0);
+  /// As above, counting into `instruments`, resolved from the NIC's
+  /// registry (the constructor above resolves its own).
+  RvmaEndpoint(nic::Nic& nic, const RvmaParams& params,
+               const RvmaInstruments& instruments, net::Pid pid = 0);
 
   NodeId node() const { return nic_.node(); }
   /// Nodes reachable from this endpoint: destinations are [0, num_nodes()).
@@ -204,29 +237,8 @@ class RvmaEndpoint {
   net::Pid pid_ = 0;
   CounterPool counters_;
 
-  /// The endpoint's `rvma.*` instruments, shared with every endpoint on
-  /// the NIC's registry (one per Cluster shard) and resolved once at
-  /// construction. They are the only place the endpoint counts.
-  obs::Counter* c_puts_;
-  obs::Counter* c_packets_;
-  obs::Counter* c_bytes_;
-  obs::Counter* c_completions_;
-  obs::Counter* c_soft_completions_;
-  obs::Counter* c_nacks_sent_;
-  obs::Counter* c_nacks_received_;
-  obs::Counter* c_drops_no_mailbox_;
-  obs::Counter* c_drops_closed_;
-  obs::Counter* c_drops_no_buffer_;
-  obs::Counter* c_drops_overflow_;
-  obs::Counter* c_drops_bad_key_;
-  obs::Counter* c_catch_all_;
-  obs::Counter* c_host_counter_packets_;
-  obs::Counter* c_buffers_posted_;
-  obs::Counter* c_buffers_retired_;
-  obs::Counter* c_counters_acquired_;
-  obs::Counter* c_counters_released_;
-  obs::Histogram* h_completion_latency_ns_;
-  obs::Histogram* h_mailbox_ooo_degree_;
+  /// The endpoint's `rvma.*` instruments: the only place it counts.
+  RvmaInstruments ins_;
 
   /// The mailbox LUT. Records live in the map's nodes, which never move:
   /// a pending host-counter update holds a Mailbox reference across an

@@ -12,19 +12,25 @@ RdmaTransport::RdmaTransport(cluster::Cluster& cluster,
       params_(params),
       ordered_network_(ordered_network),
       slots_(slots < 1 ? 1 : slots) {
+  // Every endpoint on a shard counts into the same instruments.
+  std::vector<rdma::RdmaInstruments> instruments;
+  instruments.reserve(static_cast<std::size_t>(cluster.num_shards()));
+  shard_counters_.reserve(static_cast<std::size_t>(cluster.num_shards()));
+  for (int k = 0; k < cluster.num_shards(); ++k) {
+    obs::MetricsRegistry& registry = cluster.metrics_for_shard(k);
+    instruments.emplace_back(registry);
+    shard_counters_.push_back({&registry.counter("rdma.control_messages"),
+                               &registry.counter("rdma.credit_stalls")});
+  }
   endpoints_.reserve(cluster.num_nodes());
-  node_counters_.reserve(cluster.num_nodes());
   for (int node = 0; node < cluster.num_nodes(); ++node) {
-    endpoints_.push_back(
-        std::make_unique<rdma::RdmaEndpoint>(cluster.nic(node), params));
-    obs::MetricsRegistry& registry = cluster.nic(node).metrics();
-    node_counters_.push_back({&registry.counter("rdma.control_messages"),
-                              &registry.counter("rdma.credit_stalls")});
+    endpoints_.push_back(std::make_unique<rdma::RdmaEndpoint>(
+        cluster.nic(node), params,
+        instruments[static_cast<std::size_t>(cluster.shard_of_node(node))]));
   }
 }
 
-void RdmaTransport::setup(const std::vector<Channel>& channels,
-                          std::function<void()> ready) {
+void RdmaTransport::setup(const std::vector<Channel>& channels) {
   channels_.resize(channels.size());
   for (ChannelId id = 0; id < channels.size(); ++id) {
     channels_[id].ch = channels[id];
@@ -44,22 +50,14 @@ void RdmaTransport::setup(const std::vector<Channel>& channels,
     pump_cq(node);
   }
 
-  // One negotiation handshake per channel, all in flight concurrently.
-  auto pending = std::make_shared<int>(static_cast<int>(channels_.size()));
-  if (*pending == 0) {
-    cluster_.engine().schedule(0, std::move(ready));
-    return;
-  }
+  // One negotiation handshake per channel, all in flight concurrently;
+  // each reply lands on the initiator's shard.
   for (ChannelId id = 0; id < channels_.size(); ++id) {
     ChannelState* cs = &channels_[id];
-    node_counters_[cs->ch.src].control->inc(2);  // request + reply
+    counters(cs->ch.src).control->inc(2);  // request + reply
     endpoints_[cs->ch.src]->request_buffer(
         cs->ch.dst, cs->ch.bytes * static_cast<std::uint64_t>(slots_),
-        [cs, pending, ready](rdma::RemoteBuffer rb) {
-          cs->remote = rb;
-          if (--*pending == 0) ready();
-        },
-        id);
+        [cs](rdma::RemoteBuffer rb) { cs->remote = rb; }, id);
   }
 }
 
@@ -107,7 +105,7 @@ void RdmaTransport::grant_credit(ChannelId id) {
   // Return a credit: the initiator owns the region, so the target must
   // tell it when a slot is safe to overwrite.
   ++cs.credits_granted;
-  node_counters_[cs.ch.dst].control->inc();
+  counters(cs.ch.dst).control->inc();
   endpoints_[cs.ch.dst]->send(cs.ch.src, (kImmCredit << 32) | id);
 }
 
@@ -126,7 +124,7 @@ void RdmaTransport::recv_post(ChannelId id) {
 void RdmaTransport::send(ChannelId id, std::function<void()> done) {
   ChannelState& cs = channels_[id];
   if (cs.credits == 0) {
-    node_counters_[cs.ch.src].stalls->inc();
+    counters(cs.ch.src).stalls->inc();
     cs.credit_waiter.park(std::move(done));
     return;
   }
@@ -151,7 +149,7 @@ void RdmaTransport::issue_send(ChannelId id, std::function<void()> done) {
       [this, src, dst, id] {
         if (!ordered_network_) {
           // Local completion fires on src's shard thread.
-          node_counters_[src].control->inc();
+          counters(src).control->inc();
           endpoints_[src]->send(dst, (kImmComplete << 32) | id);
         }
       },

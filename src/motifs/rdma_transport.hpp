@@ -37,8 +37,7 @@ class RdmaTransport final : public Transport {
   std::string name() const override {
     return ordered_network_ ? "rdma-static" : "rdma-adaptive";
   }
-  void setup(const std::vector<Channel>& channels,
-             std::function<void()> ready) override;
+  void setup(const std::vector<Channel>& channels) override;
   void recv_post(ChannelId ch) override;
   void send(ChannelId ch, std::function<void()> done) override;
   void recv_wait(ChannelId ch, std::function<void()> done) override;
@@ -53,7 +52,7 @@ class RdmaTransport final : public Transport {
   // src's recv CQ), receiver-side fields only from events on shard_of(dst)
   // (recv_post/recv_wait, last-byte polls, completion sends through dst's
   // CQ). For the same reason each control message and credit stall counts
-  // into the registry of the node whose event counts it (node_counters_).
+  // into the registry of the node whose event counts it (counters()).
   struct ChannelState {
     Channel ch;
     // Sender side.
@@ -87,13 +86,17 @@ class RdmaTransport final : public Transport {
   std::vector<std::unique_ptr<rdma::RdmaEndpoint>> endpoints_;
   std::vector<ChannelState> channels_;  ///< indexed by ChannelId
   /// `rdma.control_messages` (handshakes, credits, trailing completion
-  /// sends) and `rdma.credit_stalls` on each node's shard registry,
-  /// indexed by node.
-  struct NodeCounters {
+  /// sends) and `rdma.credit_stalls` on each shard's registry, indexed by
+  /// shard.
+  struct ShardCounters {
     obs::Counter* control;
     obs::Counter* stalls;
   };
-  std::vector<NodeCounters> node_counters_;
+  const ShardCounters& counters(int node) const {
+    return shard_counters_[static_cast<std::size_t>(
+        cluster_.shard_of_node(node))];
+  }
+  std::vector<ShardCounters> shard_counters_;
   mutable TransportStats stats_;  ///< scratch for stats() assembly
 };
 

@@ -128,20 +128,14 @@ MotifResult MotifRunner::run() {
   rank_done_.assign(ranks, 0);
   rank_finish_.assign(ranks, 0);
 
-  bool setup_fired = false;
-  transport_.setup(number_channels(programs_), [this, &setup_fired] {
-    setup_fired = true;
-    result_.setup_done = cluster_.engine().now();
-    for (int rank = 0; rank < static_cast<int>(programs_.size()); ++rank) {
-      advance(rank);
-    }
-  });
-
-  // Setup handshakes ping-pong with zero-delay callbacks (below any
-  // lookahead), so a sharded run executes them in the merged
-  // serial-emulation mode; the steady-state motif then runs windowed.
-  cluster_.run([&setup_fired] { return setup_fired; });
-  assert(setup_fired && "transport setup never completed");
+  // Set-up traffic runs like any other (windowed when sharded). When it
+  // goes quiet every channel is usable, and every rank starts at that
+  // instant: the run leaves each shard clock there, so advance() anchors
+  // its schedules where a serial run's would.
+  transport_.setup(number_channels(programs_));
+  result_.setup_done = cluster_.run();
+  for (int rank = 0; rank < static_cast<int>(ranks); ++rank) advance(rank);
+  cluster_.run();
 
   for (std::size_t rank = 0; rank < ranks; ++rank) {
     assert(rank_done_[rank] && "motif deadlocked (rank still blocked)");

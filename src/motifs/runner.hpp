@@ -175,7 +175,7 @@ class RankProgram {
 };
 
 struct MotifResult {
-  Time setup_done = 0;     ///< when transport setup (handshakes) finished
+  Time setup_done = 0;     ///< when transport set-up traffic went quiet
   Time makespan = 0;       ///< time of the last rank finishing
   std::uint64_t ops_executed = 0;
   std::uint64_t engine_events = 0;

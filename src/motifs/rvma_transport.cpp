@@ -7,15 +7,21 @@ RvmaTransport::RvmaTransport(cluster::Cluster& cluster,
                              const core::RvmaParams& params,
                              core::EpochType epoch)
     : cluster_(cluster), epoch_(epoch) {
+  // Every endpoint on a shard counts into the same instruments.
+  std::vector<core::RvmaInstruments> instruments;
+  instruments.reserve(static_cast<std::size_t>(cluster.num_shards()));
+  for (int k = 0; k < cluster.num_shards(); ++k) {
+    instruments.emplace_back(cluster.metrics_for_shard(k));
+  }
   endpoints_.reserve(cluster.num_nodes());
   for (int node = 0; node < cluster.num_nodes(); ++node) {
-    endpoints_.push_back(
-        std::make_unique<core::RvmaEndpoint>(cluster.nic(node), params));
+    endpoints_.push_back(std::make_unique<core::RvmaEndpoint>(
+        cluster.nic(node), params,
+        instruments[static_cast<std::size_t>(cluster.shard_of_node(node))]));
   }
 }
 
-void RvmaTransport::setup(const std::vector<Channel>& channels,
-                          std::function<void()> ready) {
+void RvmaTransport::setup(const std::vector<Channel>& channels) {
   channels_.resize(channels.size());
   // Receiver-side, purely local: create windows, fill buckets, install
   // the per-mailbox completion observers.
@@ -49,8 +55,7 @@ void RvmaTransport::setup(const std::vector<Channel>& channels,
       }
     });
   }
-  // No network traffic was required: channels are usable immediately.
-  cluster_.engine().schedule(0, std::move(ready));
+  // No network traffic: set-up is quiet, and channels usable, at once.
 }
 
 void RvmaTransport::recv_post(ChannelId) {

@@ -30,8 +30,7 @@ class RvmaTransport : public Transport {
   std::string name() const override {
     return epoch_ == core::EpochType::kOps ? "rma" : "rvma";
   }
-  void setup(const std::vector<Channel>& channels,
-             std::function<void()> ready) override;
+  void setup(const std::vector<Channel>& channels) override;
   void recv_post(ChannelId ch) override;
   void send(ChannelId ch, std::function<void()> done) override;
   void recv_wait(ChannelId ch, std::function<void()> done) override;

@@ -6,7 +6,9 @@
 // threshold completion definable (§III-B). Motifs declare their channels
 // up front; the transport performs whatever setup its protocol requires
 // (RDMA: buffer-negotiation handshakes; RVMA: local window init + buffer
-// posting, no network traffic), then serves sends and receives.
+// posting, no network traffic), then serves sends and receives. Set-up
+// is done when its traffic goes quiet, and the motif starts at that
+// instant (MotifRunner::run).
 //
 // Channels are addressed by dense index: a ChannelId is the channel's
 // position in the vector handed to setup(), so a transport keeps one flat
@@ -69,10 +71,12 @@ class Transport {
 
   virtual std::string name() const = 0;
 
-  /// Declare every channel and run protocol setup; `ready` fires (in sim
-  /// time) when all channels are usable.
-  virtual void setup(const std::vector<Channel>& channels,
-                     std::function<void()> ready) = 0;
+  /// Declare every channel and start protocol set-up. Set-up is done
+  /// when its traffic quiesces: the caller runs the cluster until no
+  /// event is pending, and every channel must be usable then. Set-up
+  /// events run on the shards of the nodes they touch, so they share no
+  /// state across ranks (no completion counter).
+  virtual void setup(const std::vector<Channel>& channels) = 0;
 
   /// Receiver pre-arms the next incoming message on the channel.
   /// Local and non-blocking; RDMA uses it to return a credit to the sender.

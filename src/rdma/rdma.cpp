@@ -13,16 +13,25 @@ constexpr std::uint32_t kind_of(Op op) {
 }
 }  // namespace
 
+RdmaInstruments::RdmaInstruments(obs::MetricsRegistry& m)
+    : regions_registered(&m.counter("rdma.regions_registered")),
+      handshakes_served(&m.counter("rdma.handshakes_served")),
+      puts_received(&m.counter("rdma.puts_received")),
+      put_acks(&m.counter("rdma.put_acks")),
+      sends_received(&m.counter("rdma.sends_received")),
+      premature_flag_fires(&m.counter("rdma.premature_flag_fires")) {}
+
 RdmaEndpoint::RdmaEndpoint(nic::Nic& nic, const RdmaParams& params,
                            net::Pid pid)
-    : nic_(nic), engine_(nic.engine()), params_(params), pid_(pid) {
-  obs::MetricsRegistry& m = nic_.metrics();
-  c_regions_registered_ = &m.counter("rdma.regions_registered");
-  c_handshakes_served_ = &m.counter("rdma.handshakes_served");
-  c_puts_received_ = &m.counter("rdma.puts_received");
-  c_put_acks_ = &m.counter("rdma.put_acks");
-  c_sends_received_ = &m.counter("rdma.sends_received");
-  c_premature_flag_fires_ = &m.counter("rdma.premature_flag_fires");
+    : RdmaEndpoint(nic, params, RdmaInstruments(nic.metrics()), pid) {}
+
+RdmaEndpoint::RdmaEndpoint(nic::Nic& nic, const RdmaParams& params,
+                           const RdmaInstruments& instruments, net::Pid pid)
+    : nic_(nic),
+      engine_(nic.engine()),
+      params_(params),
+      pid_(pid),
+      ins_(instruments) {
   nic_.register_proto(
       nic::kProtoRdma,
       [this](const net::Packet& pkt) { handle_packet(pkt); }, pid_);
@@ -39,7 +48,7 @@ void RdmaEndpoint::register_region(std::span<std::byte> mem, std::uint64_t size,
   const std::uint64_t addr = next_region_addr_;
   next_region_addr_ += (size + 0xfff) & ~std::uint64_t{0xfff};
   regions_[addr] = Region{mem, size, 0, {}};
-  c_regions_registered_->inc();
+  ins_.regions_registered->inc();
   engine_.schedule(registration_cost(size),
                    [addr, done = std::move(done)] { done(addr); });
 }
@@ -177,7 +186,7 @@ void RdmaEndpoint::handle_packet(const net::Packet& pkt) {
       const std::uint64_t id = pkt.msg->hdr.imm2;
       const NodeId requester = pkt.src;
       const net::Pid requester_pid = pkt.msg->hdr.src_pid;
-      c_handshakes_served_->inc();
+      ins_.handshakes_served->inc();
       engine_.schedule(params_.ctrl_proc, [this, size, tag, id, requester,
                                            requester_pid] {
         std::span<std::byte> mem =
@@ -214,7 +223,7 @@ void RdmaEndpoint::handle_packet(const net::Packet& pkt) {
     }
 
     case kPutAck: {
-      c_put_acks_->inc();
+      ins_.put_acks->inc();
       const auto it = pending_puts_.find(pkt.msg->hdr.imm);
       if (it == pending_puts_.end()) return;  // unsignaled put
       auto done = std::move(it->second.local_done);
@@ -226,7 +235,7 @@ void RdmaEndpoint::handle_packet(const net::Packet& pkt) {
     }
 
     case kSend: {
-      c_sends_received_->inc();
+      ins_.sends_received->inc();
       Completion entry{pkt.src, pkt.msg->hdr.imm, pkt.msg->bytes,
                        engine_.now()};
       // CQE crosses PCIe into host memory before anyone can poll it.
@@ -301,7 +310,7 @@ void RdmaEndpoint::handle_put_packet(const net::Packet& pkt) {
       const std::uint64_t watched = poll.index;
       region.polls.erase(region.polls.begin() + static_cast<long>(i));
       const std::uint64_t seen = region.bytes_received;
-      if (seen < watched + 1) c_premature_flag_fires_->inc();
+      if (seen < watched + 1) ins_.premature_flag_fires->inc();
       engine_.schedule(params_.flag_poll,
                        [done = std::move(done), seen, t = engine_.now()] {
                          done(t, seen);
@@ -313,7 +322,7 @@ void RdmaEndpoint::handle_put_packet(const net::Packet& pkt) {
 
   const auto op = static_cast<Op>(net::op_of(pkt.msg->hdr.kind));
   if (op == kWriteImm) {
-    c_puts_received_->inc();
+    ins_.puts_received->inc();
     Completion entry{pkt.src, pkt.msg->hdr.imm, pkt.msg->bytes, engine_.now()};
     engine_.schedule(nic_.params().pcie_latency,
                      [this, entry] { deliver_recv_completion(entry); });
@@ -324,7 +333,7 @@ void RdmaEndpoint::handle_put_packet(const net::Packet& pkt) {
   const std::uint32_t arrived = ++put_arrived_[pkt.msg->id];
   if (arrived == pkt.total) {
     put_arrived_.erase(pkt.msg->id);
-    c_puts_received_->inc();
+    ins_.puts_received->inc();
     net::Message ack;
     ack.dst = pkt.src;
     ack.bytes = params_.ctrl_bytes;

@@ -72,6 +72,20 @@ struct Completion {
   Time arrived_at = 0;
 };
 
+/// The `rdma.*` instruments an endpoint counts into, resolved by name
+/// from one registry. Every endpoint on a registry (one per Cluster
+/// shard) shares them, so a transport resolves one set per shard.
+struct RdmaInstruments {
+  explicit RdmaInstruments(obs::MetricsRegistry& m);
+
+  obs::Counter* regions_registered;
+  obs::Counter* handshakes_served;
+  obs::Counter* puts_received;
+  obs::Counter* put_acks;
+  obs::Counter* sends_received;
+  obs::Counter* premature_flag_fires;
+};
+
 class RdmaEndpoint {
  public:
   /// Allocates backing memory for a handshake-requested region of `size`
@@ -86,6 +100,10 @@ class RdmaEndpoint {
   /// `pid` identifies this endpoint's process on the node; several
   /// endpoints with distinct pids can share one NIC (NID/PID addressing).
   RdmaEndpoint(nic::Nic& nic, const RdmaParams& params, net::Pid pid = 0);
+  /// As above, counting into `instruments`, resolved from the NIC's
+  /// registry (the constructor above resolves its own).
+  RdmaEndpoint(nic::Nic& nic, const RdmaParams& params,
+               const RdmaInstruments& instruments, net::Pid pid = 0);
 
   NodeId node() const { return nic_.node(); }
   net::Pid pid() const { return pid_; }
@@ -186,14 +204,8 @@ class RdmaEndpoint {
   RdmaParams params_;
   net::Pid pid_ = 0;
 
-  /// The endpoint's `rdma.*` instruments on the NIC's registry (one per
-  /// Cluster shard), resolved once at construction.
-  obs::Counter* c_regions_registered_;
-  obs::Counter* c_handshakes_served_;
-  obs::Counter* c_puts_received_;
-  obs::Counter* c_put_acks_;
-  obs::Counter* c_sends_received_;
-  obs::Counter* c_premature_flag_fires_;
+  /// The endpoint's `rdma.*` instruments on the NIC's registry.
+  RdmaInstruments ins_;
 
   std::unordered_map<std::uint64_t, Region> regions_;
   std::uint64_t next_region_addr_ = 0x1000;

@@ -1,6 +1,7 @@
 #include "scenario/transports.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "motifs/rdma_transport.hpp"
 #include "motifs/rvma_transport.hpp"
@@ -13,48 +14,47 @@ namespace rvma::scenario {
 SocketsTransport::SocketsTransport(cluster::Cluster& cluster,
                                    const sockets::SocketParams& params)
     : cluster_(cluster) {
+  // Every endpoint and stack on a shard counts into the same instruments.
+  std::vector<std::pair<core::RvmaInstruments, sockets::SocketInstruments>>
+      instruments;
+  instruments.reserve(static_cast<std::size_t>(cluster.num_shards()));
+  for (int k = 0; k < cluster.num_shards(); ++k) {
+    instruments.emplace_back(cluster.metrics_for_shard(k),
+                             cluster.metrics_for_shard(k));
+  }
   endpoints_.reserve(cluster.num_nodes());
   stacks_.reserve(cluster.num_nodes());
   for (int node = 0; node < cluster.num_nodes(); ++node) {
+    const auto& [endpoint_ins, stack_ins] =
+        instruments[static_cast<std::size_t>(cluster.shard_of_node(node))];
     endpoints_.push_back(std::make_unique<core::RvmaEndpoint>(
-        cluster.nic(node), core::RvmaParams{}));
-    stacks_.push_back(
-        std::make_unique<sockets::SocketStack>(*endpoints_.back(), params));
+        cluster.nic(node), core::RvmaParams{}, endpoint_ins));
+    stacks_.push_back(std::make_unique<sockets::SocketStack>(
+        *endpoints_.back(), params, stack_ins));
   }
 }
 
-void SocketsTransport::setup(const std::vector<motifs::Channel>& channels,
-                             std::function<void()> ready) {
+void SocketsTransport::setup(const std::vector<motifs::Channel>& channels) {
   std::uint64_t max_bytes = 0;
   std::uint16_t port = 1;
   // One listening port per channel so concurrent connects cannot cross:
-  // channel index -> port, assigned in declaration order. Setup is done
-  // only when every accept AND every connect ACK has landed — the sender
-  // side must hold its ConnId before the motif's first send.
-  auto pending = std::make_shared<int>(2 * static_cast<int>(channels.size()));
-  auto maybe_ready = [this, pending, ready]() {
-    if (--*pending == 0) cluster_.engine().schedule(0, ready);
-  };
+  // channel index -> port, assigned in declaration order. Set-up goes
+  // quiet only after every accept AND every connect ACK has landed, so
+  // the sender side holds its ConnId before the motif's first send.
   channels_.resize(channels.size());
   for (motifs::ChannelId id = 0; id < channels.size(); ++id) {
     const motifs::Channel& ch = channels[id];
     ChannelState* slot = &channels_[id];
     slot->ch = ch;
     max_bytes = std::max(max_bytes, ch.bytes);
-    stacks_[ch.dst]->listen(port, [slot, maybe_ready](sockets::ConnId conn) {
-      slot->recv_conn = conn;
-      maybe_ready();
-    });
-    stacks_[ch.src]->connect(ch.dst, port,
-                             [slot, maybe_ready](sockets::ConnId conn) {
-                               slot->send_conn = conn;
-                               maybe_ready();
-                             });
+    stacks_[ch.dst]->listen(
+        port, [slot](sockets::ConnId conn) { slot->recv_conn = conn; });
+    stacks_[ch.src]->connect(
+        ch.dst, port, [slot](sockets::ConnId conn) { slot->send_conn = conn; });
     ++port;
   }
   scratch_.assign(static_cast<std::size_t>(cluster_.num_shards()),
                   std::vector<std::byte>(max_bytes, std::byte{0}));
-  if (channels.empty()) cluster_.engine().schedule(0, std::move(ready));
 }
 
 void SocketsTransport::recv_post(motifs::ChannelId) {
@@ -110,17 +110,23 @@ PortalsTransport::PortalsTransport(cluster::Cluster& cluster,
                                    const core::RvmaParams& params)
     : motifs::RvmaTransport(cluster, params),
       match_lists_(static_cast<std::size_t>(cluster.num_nodes())) {
-  // Each node's matching unit counts into its own shard's registry.
+  // Each node's matching unit counts into its own shard's registry,
+  // resolved once per shard.
+  std::vector<MatchCounters> by_shard;
+  by_shard.reserve(static_cast<std::size_t>(cluster.num_shards()));
+  for (int k = 0; k < cluster.num_shards(); ++k) {
+    obs::MetricsRegistry& registry = cluster.metrics_for_shard(k);
+    by_shard.push_back({&registry.counter("portals.entries_traversed"),
+                        &registry.counter("portals.matches")});
+  }
   match_counters_.reserve(match_lists_.size());
   for (int node = 0; node < cluster.num_nodes(); ++node) {
-    obs::MetricsRegistry& registry = cluster.nic(node).metrics();
-    match_counters_.push_back({&registry.counter("portals.entries_traversed"),
-                               &registry.counter("portals.matches")});
+    match_counters_.push_back(
+        by_shard[static_cast<std::size_t>(cluster.shard_of_node(node))]);
   }
 }
 
-void PortalsTransport::setup(const std::vector<motifs::Channel>& channels,
-                             std::function<void()> ready) {
+void PortalsTransport::setup(const std::vector<motifs::Channel>& channels) {
   // Each posted receive as a persistent match entry: source-qualified,
   // exact match bits, appended in channel declaration order.
   for (const motifs::Channel& ch : channels) {
@@ -130,7 +136,7 @@ void PortalsTransport::setup(const std::vector<motifs::Channel>& channels,
         .use_once = false,
     });
   }
-  motifs::RvmaTransport::setup(channels, std::move(ready));
+  motifs::RvmaTransport::setup(channels);
 }
 
 void PortalsTransport::recv_wait(motifs::ChannelId id,

@@ -27,8 +27,7 @@ class SocketsTransport final : public motifs::Transport {
                    const sockets::SocketParams& params);
 
   std::string name() const override { return "sockets"; }
-  void setup(const std::vector<motifs::Channel>& channels,
-             std::function<void()> ready) override;
+  void setup(const std::vector<motifs::Channel>& channels) override;
   void recv_post(motifs::ChannelId ch) override;
   void send(motifs::ChannelId ch, std::function<void()> done) override;
   void recv_wait(motifs::ChannelId ch, std::function<void()> done) override;
@@ -72,8 +71,7 @@ class PortalsTransport final : public motifs::RvmaTransport {
   PortalsTransport(cluster::Cluster& cluster, const core::RvmaParams& params);
 
   std::string name() const override { return "portals"; }
-  void setup(const std::vector<motifs::Channel>& channels,
-             std::function<void()> ready) override;
+  void setup(const std::vector<motifs::Channel>& channels) override;
   void recv_wait(motifs::ChannelId ch, std::function<void()> done) override;
 
   const portals::MatchList& match_list(int node) const {

@@ -70,6 +70,7 @@ bool Engine::step() {
   if (heap_.empty()) return false;
   const HeapEntry top = heap_pop();
   now_ = top.time;
+  last_event_ = top.time;
   ++executed_;
   // Sampling hook: the callback for `top` has not run yet, so the state
   // visible here is exactly the state at every period boundary in

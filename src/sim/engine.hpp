@@ -158,15 +158,19 @@ class Engine {
     return heap_.empty() ? kTimeInfinity : heap_.front().time;
   }
 
-  /// Advance the clock of an idle span to `t` without executing anything.
-  /// Only legal when no pending event precedes `t`; used by the sharded
-  /// scheduler's merged (serial-emulation) phase to keep every shard's
-  /// relative schedule(delay, ...) calls anchored at the global time.
-  /// Forward-only: `t` earlier than now() is ignored.
-  void sync_clock(Time t) {
-    assert((heap_.empty() || heap_.front().time >= t) &&
-           "sync_clock would skip a pending event");
-    if (t > now_) now_ = t;
+  /// Time of the last executed event (0 before the first).
+  Time last_event_time() const { return last_event_; }
+
+  /// Set an idle engine's clock to `t`, which may lie before now() but
+  /// not before the last executed event. A windowed run leaves each shard
+  /// clock on a window edge past its last event; the sharded scheduler
+  /// sets every shard back to the instant the run went quiet, so relative
+  /// schedule(delay, ...) calls made before the next run anchor where a
+  /// serial engine's would.
+  void set_clock(Time t) {
+    assert(heap_.empty() && "set_clock on an engine with pending events");
+    assert(t >= last_event_ && "set_clock before the last executed event");
+    now_ = t;
   }
 
   /// Execute at most one pending event. Returns false if queue was empty.
@@ -273,6 +277,7 @@ class Engine {
   std::uint32_t slots_used_ = 0;  ///< high-water mark across all pages
 
   Time now_ = 0;
+  Time last_event_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   bool stopped_ = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <functional>
 #include <thread>
 
 namespace rvma::sim {
@@ -120,40 +121,11 @@ Time ShardedEngine::lookahead(int src, int dst) const {
 
 void ShardedEngine::post(int src, int dst, Time when, Callback fn) {
   assert(src >= 0 && src < num_shards() && dst >= 0 && dst < num_shards());
-  if (!windowed_) {
-    // Merged mode: every engine's clock is synced at or before the global
-    // time, and `when` is in the (possibly immediate) future — the hook
-    // can schedule on the destination engine right now.
-    assert(engines_[static_cast<std::size_t>(dst)]->now() <= when);
-    fn();
-    return;
-  }
+  assert(windowed_ && "cross-shard posts come from events of a windowed run");
   Channel& ch = channel(write_parity_, src, dst);
   ch.descs.push_back(Desc{when, static_cast<std::uint32_t>(ch.fns.size())});
   ch.fns.push_back(std::move(fn));
   if (when < ch.min_when) ch.min_when = when;
-}
-
-void ShardedEngine::run_merged_until(const std::function<bool()>& stop_pred) {
-  assert(!windowed_);
-  while (!stop_pred()) {
-    Time t = kTimeInfinity;
-    int best = -1;
-    for (int k = 0; k < num_shards(); ++k) {
-      const Time nt = engines_[static_cast<std::size_t>(k)]->next_time();
-      if (nt < t) {
-        t = nt;
-        best = k;
-      }
-    }
-    if (best < 0) return;  // every queue drained before the predicate fired
-    // Sync every idle engine to the global frontier first, so anything the
-    // stepped event schedules on a *different* engine (via a transport's
-    // engine_for(...).schedule(delay, ...)) anchors at the same absolute
-    // time a single serial engine would have used.
-    for (auto& e : engines_) e->sync_clock(t);
-    engines_[static_cast<std::size_t>(best)]->step();
-  }
 }
 
 std::size_t ShardedEngine::drain_incoming(int k,
@@ -340,10 +312,16 @@ Time ShardedEngine::run_windowed() {
     assert(scalar_lookahead_ >= 1 &&
            "windowed execution requires lookahead >= 1ps");
   }
+  // The run ends no earlier than the latest clock it starts from.
+  Time end = 0;
+  for (const Engine* e : engines_) end = std::max(end, e->now());
   done_ = false;
   windowed_ = true;
   write_parity_ = 0;
   drain_parity_ = 1;
+  // Strides are measured within a run: the gap between two runs' windows
+  // is not one.
+  prev_frontier_ = 0;
   if (profiling_ && profiles_.size() != static_cast<std::size_t>(K)) {
     profiles_.assign(static_cast<std::size_t>(K), ShardProfile{});
   }
@@ -430,9 +408,11 @@ Time ShardedEngine::run_windowed() {
   for (std::thread& t : threads) t.join();
 
   windowed_ = false;
-  Time max_now = 0;
-  for (auto& e : engines_) max_now = std::max(max_now, e->now());
-  return max_now;
+  // Window edges carried idle clocks past the last event; bring every
+  // shard back to the instant the run went quiet.
+  for (const Engine* e : engines_) end = std::max(end, e->last_event_time());
+  for (Engine* e : engines_) e->set_clock(end);
+  return end;
 }
 
 }  // namespace rvma::sim

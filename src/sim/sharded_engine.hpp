@@ -13,29 +13,27 @@
 // exactly on an edge a shard already executed past. See DESIGN.md §12 for
 // the model, the closure requirement, and the bit-identity argument.
 //
-// Two execution modes:
-//  * merged (serial emulation) — one thread steps the globally earliest
-//    event across all shards while keeping every engine's clock synced to
-//    the global time, so cross-engine schedule(delay, ...) calls anchor
-//    exactly as a single serial engine would. Used for transport setup,
-//    whose handshakes ping-pong between shards with sub-lookahead logical
-//    latencies (zero-delay ready callbacks).
-//  * windowed — K threads, ONE barrier round per window: each worker
-//    publishes its engine's earliest pending event time to a cache-line-
-//    padded atomic and arrives at a spin-then-yield barrier; the last
-//    arriver runs the completion step (the per-destination window
-//    min-reduction) while the others spin; then every worker drains its
-//    incoming cross-shard posts (k-way merged by (time, source shard,
-//    FIFO index) for determinism) and runs its window. Channels are
-//    double-buffered by round parity so a source's writes during round n
-//    never race a destination's drain of round n-1 items; the barrier's
-//    release sequence gives the unsynchronized single-producer/
-//    single-consumer buffers their happens-before edges.
+// One execution mode, windowed: K threads, ONE barrier round per window.
+// Each worker publishes its engine's earliest pending event time to a
+// cache-line-padded atomic and arrives at a spin-then-yield barrier; the
+// last arriver runs the completion step (the per-destination window
+// min-reduction) while the others spin; then every worker drains its
+// incoming cross-shard posts (k-way merged by (time, source shard, FIFO
+// index) for determinism) and runs its window. Channels are
+// double-buffered by round parity so a source's writes during round n
+// never race a destination's drain of round n-1 items; the barrier's
+// release sequence gives the unsynchronized single-producer/
+// single-consumer buffers their happens-before edges.
+//
+// A run ends when nothing is pending on any shard, and every shard clock
+// is then set to the instant of the last event executed anywhere — what a
+// serial engine's clock reads after run(). Work that must wait for a
+// phase to go quiet (the motif start after transport set-up) runs on the
+// calling thread between two runs, scheduling at that shared instant.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -89,28 +87,20 @@ class ShardedEngine {
   /// True when a per-pair matrix (not the scalar baseline) is active.
   bool lookahead_is_matrix() const { return matrix_mode_; }
 
-  /// Post work onto shard `dst` from shard `src`. `fn` runs on the
-  /// destination shard's thread with its engine clock <= `when` and must
-  /// itself schedule the real event(s) at `when` (e.g. by calling
-  /// Fabric::receive_remote). In merged mode fn runs immediately — every
-  /// clock is already synced at or before `when`. In windowed mode it is
-  /// queued and runs at the next window boundary; the conservative window
-  /// guarantees `when` >= the destination's clock at that point.
+  /// Post work onto shard `dst` from an event on shard `src`; only legal
+  /// inside run_windowed(). `fn` is queued and runs on the destination
+  /// shard's thread at the next window boundary, where the conservative
+  /// window guarantees its engine clock <= `when`; it must itself
+  /// schedule the real event(s) at `when` (e.g. by calling
+  /// Fabric::receive_remote).
   void post(int src, int dst, Time when, Callback fn);
 
-  /// Merged (serial-emulation) phase: repeatedly execute the globally
-  /// earliest pending event (ties broken by lowest shard index), keeping
-  /// every engine's clock synced to the global time, until `stop_pred`
-  /// returns true or every queue drains. Single-threaded.
-  void run_merged_until(const std::function<bool()>& stop_pred);
-
-  /// Windowed parallel phase: run all shards to completion on
-  /// num_shards() threads. Requires set_lookahead() or
-  /// set_lookahead_matrix() first. Returns the maximum engine time across
-  /// shards.
+  /// Run all shards until nothing is pending anywhere, on num_shards()
+  /// threads. Requires set_lookahead() or set_lookahead_matrix() first.
+  /// Returns the instant of the last event executed on any shard (the
+  /// latest shard clock when none ran); on return every engine is idle
+  /// with its clock set to that instant.
   Time run_windowed();
-
-  bool windowed() const { return windowed_; }
 
   /// Per-shard runtime profile of the windowed loop (ISSUE: PDES runtime
   /// profiling). Wall-clock numbers are measurement, not simulation: they

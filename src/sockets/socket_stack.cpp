@@ -8,15 +8,20 @@ namespace rvma::sockets {
 using core::EpochType;
 using core::Placement;
 
+SocketInstruments::SocketInstruments(obs::MetricsRegistry& m)
+    : connections_accepted(&m.counter("sockets.connections_accepted")),
+      connections_opened(&m.counter("sockets.connections_opened")),
+      bytes_sent(&m.counter("sockets.bytes_sent")),
+      bytes_received(&m.counter("sockets.bytes_received")),
+      segments_completed(&m.counter("sockets.segments_completed")),
+      partial_claims(&m.counter("sockets.partial_claims")) {}
+
 SocketStack::SocketStack(core::RvmaEndpoint& ep, const SocketParams& params)
-    : ep_(ep), params_(params) {
-  obs::MetricsRegistry& m = ep_.metrics();
-  c_connections_accepted_ = &m.counter("sockets.connections_accepted");
-  c_connections_opened_ = &m.counter("sockets.connections_opened");
-  c_bytes_sent_ = &m.counter("sockets.bytes_sent");
-  c_bytes_received_ = &m.counter("sockets.bytes_received");
-  c_segments_completed_ = &m.counter("sockets.segments_completed");
-  c_partial_claims_ = &m.counter("sockets.partial_claims");
+    : SocketStack(ep, params, SocketInstruments(ep.metrics())) {}
+
+SocketStack::SocketStack(core::RvmaEndpoint& ep, const SocketParams& params,
+                         const SocketInstruments& instruments)
+    : ep_(ep), params_(params), ins_(instruments) {
   // Control mailbox: one SYN/ACK record per posted buffer (ops-threshold 1).
   ep_.init_window(kCtrlVaddr, 1, EpochType::kOps);
   for (int i = 0; i < params_.ctrl_ring; ++i) post_ctrl_buffer();
@@ -88,7 +93,7 @@ void SocketStack::setup_rx(ConnId id, Connection& conn) {
                         const auto it = conns_.find(id);
                         if (it == conns_.end()) return;
                         if (!it->second.waiters.empty() && bytes > 0) {
-                          c_partial_claims_->inc();
+                          ins_.partial_claims->inc();
                           ep_.inc_epoch(it->second.rx_vaddr);
                         }
                       });
@@ -121,7 +126,7 @@ void SocketStack::handle_ctrl(const CtrlRecord& record) {
     conn.peer_conn = record.peer_conn;
     conn.established = true;
     setup_rx(id, conn);
-    c_connections_accepted_->inc();
+    ins_.connections_accepted->inc();
 
     CtrlRecord ack;
     ack.kind = 2;
@@ -138,7 +143,7 @@ void SocketStack::handle_ctrl(const CtrlRecord& record) {
     Connection& conn = it->second;
     conn.peer_conn = record.peer_conn;
     conn.established = true;
-    c_connections_opened_->inc();
+    ins_.connections_opened->inc();
     if (conn.on_connected) {
       auto fn = std::move(conn.on_connected);
       fn(record.dst_conn);
@@ -156,7 +161,7 @@ Status SocketStack::send(ConnId conn_id, const std::byte* data,
   std::vector<std::byte> copy(data, data + bytes);
   ep_.put_owned(conn.peer_node, data_vaddr(conn.peer_conn), 0,
                 std::move(copy));
-  c_bytes_sent_->inc(bytes);
+  ins_.bytes_sent->inc(bytes);
   return Status::kOk;
 }
 
@@ -165,8 +170,8 @@ void SocketStack::on_segment_complete(ConnId id, void* buf,
   const auto it = conns_.find(id);
   if (it == conns_.end()) return;
   Connection& conn = it->second;
-  c_segments_completed_->inc();
-  c_bytes_received_->inc(static_cast<std::uint64_t>(len));
+  ins_.segments_completed->inc();
+  ins_.bytes_received->inc(static_cast<std::uint64_t>(len));
   if (len > 0) {
     conn.completed.emplace_back(static_cast<const std::byte*>(buf),
                                 static_cast<std::uint64_t>(len));
@@ -223,7 +228,7 @@ void SocketStack::recv_wait(ConnId conn_id, std::function<void()> fn) {
   // Data may already be sitting in a partial segment: claim it now.
   const core::Mailbox* mb = ep_.find_mailbox(conn.rx_vaddr);
   if (mb != nullptr && mb->has_active() && mb->active().bytes_received > 0) {
-    c_partial_claims_->inc();
+    ins_.partial_claims->inc();
     ep_.inc_epoch(conn.rx_vaddr);
   }
 }
@@ -234,7 +239,7 @@ Status SocketStack::claim_partial(ConnId conn_id) {
   const core::Mailbox* mb = ep_.find_mailbox(it->second.rx_vaddr);
   if (mb == nullptr || !mb->has_active()) return Status::kNoBuffer;
   if (mb->active().bytes_received == 0) return Status::kNotReady;
-  c_partial_claims_->inc();
+  ins_.partial_claims->inc();
   return ep_.inc_epoch(it->second.rx_vaddr);
 }
 

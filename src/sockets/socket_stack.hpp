@@ -40,9 +40,26 @@ struct SocketParams {
 
 using ConnId = std::uint32_t;
 
+/// The `sockets.*` instruments a stack counts into, resolved by name from
+/// one registry and shared by every stack on it (one per Cluster shard).
+struct SocketInstruments {
+  explicit SocketInstruments(obs::MetricsRegistry& m);
+
+  obs::Counter* connections_accepted;
+  obs::Counter* connections_opened;
+  obs::Counter* bytes_sent;
+  obs::Counter* bytes_received;
+  obs::Counter* segments_completed;
+  obs::Counter* partial_claims;  ///< inc_epoch pre-emptions
+};
+
 class SocketStack {
  public:
   SocketStack(core::RvmaEndpoint& ep, const SocketParams& params);
+  /// As above, counting into `instruments`, resolved from the endpoint's
+  /// registry (the constructor above resolves its own).
+  SocketStack(core::RvmaEndpoint& ep, const SocketParams& params,
+              const SocketInstruments& instruments);
 
   NodeId node() const { return ep_.node(); }
 
@@ -112,14 +129,8 @@ class SocketStack {
   core::RvmaEndpoint& ep_;
   SocketParams params_;
 
-  /// The stack's `sockets.*` instruments on its endpoint's registry,
-  /// resolved once at construction.
-  obs::Counter* c_connections_accepted_;
-  obs::Counter* c_connections_opened_;
-  obs::Counter* c_bytes_sent_;
-  obs::Counter* c_bytes_received_;
-  obs::Counter* c_segments_completed_;
-  obs::Counter* c_partial_claims_;  ///< inc_epoch pre-emptions
+  /// The stack's `sockets.*` instruments on its endpoint's registry.
+  SocketInstruments ins_;
 
   std::unordered_map<ConnId, Connection> conns_;
   std::unordered_map<std::uint16_t, std::function<void(ConnId)>> listeners_;

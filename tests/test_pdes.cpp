@@ -29,27 +29,57 @@ using motifs::RvmaTransport;
 
 // ----------------------------------------------------------- ShardedEngine
 
-TEST(ShardedEngine, MergedModeStepsGloballyEarliestAndSyncsClocks) {
+TEST(ShardedEngine, RunEndsAtItsLastEventSoTheNextRunAnchorsThere) {
+  // Serial reference: the first run's events at 10, 30 and 110, then two
+  // relative schedules made between the runs.
+  sim::Engine serial;
+  for (Time t : {Time{10}, Time{30}, Time{110}}) serial.schedule_at(t, [] {});
+  const Time serial_first = serial.run();
+  Time serial_a = 0, serial_b = 0;
+  serial.schedule(5, [&] { serial_a = serial.now(); });
+  serial.schedule(7, [&] { serial_b = serial.now(); });
+  const Time serial_second = serial.run();
+
+  // Two shards, scalar lookahead 100: the arrival at 110 runs in the
+  // window [110, 210), whose edge carries both clocks to 209 — past the
+  // run's last event.
   sim::Engine a, b;
   sim::ShardedEngine se;
   se.attach(&a);
   se.attach(&b);
-
-  std::vector<int> order;
-  a.schedule_at(10, [&] { order.push_back(1); });
-  b.schedule_at(5, [&] { order.push_back(2); });
-  // Scheduled from b's event at t=5 with a relative delay: the merged
-  // phase keeps a's clock synced to the global time, so a cross-engine
-  // schedule() anchors at 5, not at a's last local event time.
-  b.schedule_at(5, [&] {
-    a.schedule(2, [&] { order.push_back(3); });
+  se.set_lookahead(100);
+  a.schedule_at(10, [&] {
+    se.post(0, 1, 110, sim::Callback([&] {
+              b.schedule_at_ranked(110, 10, 0, [] {});
+            }));
   });
-  a.schedule_at(20, [&] { order.push_back(4); });
+  b.schedule_at(30, [] {});
+  const Time first = se.run_windowed();
+  EXPECT_EQ(first, 110u);
+  EXPECT_EQ(first, serial_first);
+  for (sim::Engine* e : {&a, &b}) {
+    EXPECT_TRUE(e->empty());
+    EXPECT_EQ(e->now(), 110u);
+  }
+  EXPECT_EQ(a.last_event_time(), 10u);
+  EXPECT_EQ(b.last_event_time(), 110u);
 
-  se.run_merged_until([] { return false; });  // drain everything
-  // Global order: b@5, then the cross-scheduled a@7, then a@10, a@20.
-  EXPECT_EQ(order, (std::vector<int>{2, 3, 1, 4}));
-  EXPECT_EQ(a.now(), 20u);
+  // Relative schedules between the runs anchor at 110 on both shards,
+  // where the serial engine put them, not at a window edge.
+  Time at_a = 0, at_b = 0;  // one writer each: a's and b's worker
+  a.schedule(5, [&] { at_a = a.now(); });
+  b.schedule(7, [&] { at_b = b.now(); });
+  const Time second = se.run_windowed();
+  EXPECT_EQ(at_a, serial_a);
+  EXPECT_EQ(at_b, serial_b);
+  EXPECT_EQ(at_b, 117u);
+  EXPECT_EQ(second, serial_second);
+  EXPECT_EQ(a.now(), 117u);
+  EXPECT_EQ(b.now(), 117u);
+
+  // A run with nothing pending executes nothing and keeps the clocks.
+  EXPECT_EQ(se.run_windowed(), 117u);
+  EXPECT_EQ(a.now(), 117u);
 }
 
 TEST(ShardedEngine, WindowedRunDrainsCrossShardPostsInOrder) {
@@ -75,10 +105,10 @@ TEST(ShardedEngine, WindowedRunDrainsCrossShardPostsInOrder) {
 
   const Time end = se.run_windowed();
   EXPECT_EQ(fired.load(), 2);
-  // Clocks land on window edges, so the final time is at or past the
-  // last real event, never before it.
-  EXPECT_GE(end, 130u);
-  EXPECT_GE(a.now(), 130u);
+  // The run ends at its last real event, and so do both clocks.
+  EXPECT_EQ(end, 130u);
+  EXPECT_EQ(a.now(), 130u);
+  EXPECT_EQ(b.now(), 130u);
   EXPECT_EQ(a.pending(), 0u);
   EXPECT_EQ(b.pending(), 0u);
 }

@@ -89,7 +89,9 @@ TEST(Determinism, GoldenHalo3DStatsPinnedAcrossEngineRewrites) {
   // tie-break (DESIGN.md §12) — an intentional, documented change to
   // equal-time arbitration order — and once more when UGAL-lite's
   // Valiant group became a hash of the packet instead of a draw from a
-  // per-network RNG stream. The SBO-callback/slot-pool engine,
+  // per-network RNG stream. The event count fell by one when transport
+  // set-up lost its zero-delay "ready" event (the motif now starts when
+  // set-up traffic goes quiet). The SBO-callback/slot-pool engine,
   // dense NIC dispatch, and burst fabric injection must replay this run
   // bit-identically: every timestamp, tie-break, and adaptive routing
   // decision. Any drift here means an engine change altered observable
@@ -101,7 +103,7 @@ TEST(Determinism, GoldenHalo3DStatsPinnedAcrossEngineRewrites) {
       MotifRunner(cluster, transport, build_halo3d(halo342())).run();
 
   EXPECT_EQ(result.makespan, 22313920u);
-  EXPECT_EQ(result.engine_events, 45955u);
+  EXPECT_EQ(result.engine_events, 45954u);
   EXPECT_EQ(result.ops_executed, 9576u);
   EXPECT_EQ(result.setup_done, 0u);
   EXPECT_EQ(result.transport.data_messages, 2996u);

@@ -205,6 +205,32 @@ TEST(Engine, StepExecutesOne) {
   EXPECT_FALSE(e.step());
 }
 
+TEST(Engine, SetClockMovesAnIdleClockBackToItsLastEvent) {
+  Engine e;
+  e.schedule_at(10, [] {});
+  e.run_until(50);
+  EXPECT_EQ(e.now(), 50u);
+  EXPECT_EQ(e.last_event_time(), 10u);
+  e.set_clock(10);
+  Time fired_at = 0;
+  e.schedule(3, [&] { fired_at = e.now(); });
+  e.run();
+  EXPECT_EQ(fired_at, 13u);
+}
+
+TEST(EngineDeathTest, SetClockOnABusyEngineAborts) {
+  Engine e;
+  e.schedule_at(10, [] {});
+  EXPECT_DEATH(e.set_clock(5), "set_clock on an engine with pending events");
+}
+
+TEST(EngineDeathTest, SetClockBeforeTheLastEventAborts) {
+  Engine e;
+  e.schedule_at(10, [] {});
+  e.run();
+  EXPECT_DEATH(e.set_clock(9), "set_clock before the last executed event");
+}
+
 TEST(Engine, CountsExecutedEvents) {
   Engine e;
   for (int i = 0; i < 17; ++i) e.schedule_at(i, [] {});

@@ -449,7 +449,7 @@ echo "recorder: rvma_trace jsonl byte-identical at par-shards=1 and 8" \
   "($jsonl_runs runs)"
 
 # --- Paper-scale smoke gate ---------------------------------------------
-# Three 8,192-rank cells must run to completion through rvma_run inside a
+# Four 8,192-rank cells must run to completion through rvma_run inside a
 # wall-time and memory budget. Construction is reported separately from
 # simulation via --timing.
 #  * halo3d: a fig8-style cell (torus3d-static, RVMA, serial). Budgets
@@ -463,27 +463,35 @@ echo "recorder: rvma_trace jsonl byte-identical at par-shards=1 and 8" \
 #    228.6 MiB (239,665,152 bytes, Release build, 4-vCPU host) plus 10%.
 #    Wall budget 60 s: it simulates in ~3.7 s on 4 cores.
 #  * sweep3d_df: the paper's headline Fig 7 cell, dragonfly-adaptive at
-#    2 Tb/s with the fig7 motif parameters, RVMA at --par-shards=4. Its
-#    table and metrics must also cmp equal to a serial run of the same
-#    cell (engine event counts aside): UGAL's Valiant group is a hash of
-#    the packet, so the sharded run routes every packet as the serial
-#    one does.
-#    --pdes-profile proves it ran on four shards (serially it takes
+#    2 Tb/s with the fig7 motif parameters, RVMA at --par-shards=4:
+#    UGAL's Valiant group is a hash of the packet, so the sharded run
+#    routes every packet as the serial one does (serially it takes
 #    ~5.5 s). Budgets: 10 s wall, 5x the measured 1.9-2.0 s (Release
 #    build, 4-vCPU host), and the measured peak RSS of 220.5 MiB
 #    (231,215,104 bytes) plus 10%.
+#  * sweep3d_rdma: the sweep3d cell's RDMA half, the heavier half of
+#    perfbench's sweep3d_8192, at --par-shards=4. Its 129,592
+#    buffer-negotiation handshakes run in PDES windows like the motif
+#    traffic after them (serially the cell takes ~19.5 s). Budgets: 25 s
+#    wall, 5x the measured 3.8-4.8 s simulate (Release build, 4-vCPU
+#    host), and the measured peak RSS of 150.4 MiB (157,720,576 bytes)
+#    plus 10%.
+# The two sharded Sweep3D cells after the first are paper_sharded_gate
+# cells: --pdes-profile must show four shards, and the table and metrics
+# must cmp equal to a serial replay of the same cell.
 printf '{"format": "rvma-scenario-v1", "scenario": {}}\n' \
   > "$tmp_dir/paper_cell.json"
-# paper_gate NAME TOPOLOGY ROUTING WALL_BUDGET_S RSS_BUDGET_BYTES
+# paper_gate NAME TOPOLOGY ROUTING TRANSPORT WALL_BUDGET_S RSS_BUDGET_BYTES
 #            RVMA_RUN_FLAGS...
 paper_gate() {
-  name=$1 topology=$2 routing=$3 wall_budget=$4 rss_budget=$5
-  shift 5
-  echo "paper-scale: 8192-rank $topology-$routing $name cell via rvma_run"
+  name=$1 topology=$2 routing=$3 transport=$4 wall_budget=$5 rss_budget=$6
+  shift 6
+  echo "paper-scale: 8192-rank $topology-$routing $transport $name cell" \
+    "via rvma_run"
   paper_start=$(date +%s)
   "$build_dir/tools/rvma_run" "$tmp_dir/paper_cell.json" \
     --topology="$topology" --routing="$routing" --nodes=8192 \
-    --transport=rvma --timing "$@" > "$tmp_dir/paper_$name.txt" \
+    --transport="$transport" --timing "$@" > "$tmp_dir/paper_$name.txt" \
     2> "$tmp_dir/paper_${name}_timing.txt"
   paper_wall=$(( $(date +%s) - paper_start ))
   cat "$tmp_dir/paper_${name}_timing.txt"
@@ -508,49 +516,57 @@ paper_gate() {
     "${paper_rss:-unknown} bytes (budgets: ${wall_budget}s," \
     "$rss_budget bytes)"
 }
+# paper_sharded_gate: paper_gate's arguments, run at --par-shards=4 and
+# then replayed serially; both runs' tables and metrics must cmp equal.
+paper_sharded_gate() {
+  paper_gate "$@" --par-shards=4 \
+    --pdes-profile="$tmp_dir/paper_$1_profile.json" \
+    --metrics="$tmp_dir/paper_$1.json"
+  shift 6
+  if ! grep -q '"pdes.shard3\.' "$tmp_dir/paper_${name}_profile.json"; then
+    echo "ERROR: the $name cell did not run on 4 shards" >&2
+    exit 1
+  fi
+  echo "paper-scale: serial replay of the $name cell"
+  "$build_dir/tools/rvma_run" "$tmp_dir/paper_cell.json" \
+    --topology="$topology" --routing="$routing" --nodes=8192 \
+    --transport="$transport" --par-shards=1 "$@" \
+    --metrics="$tmp_dir/paper_${name}_serial.json" \
+    > "$tmp_dir/paper_${name}_serial.txt"
+  for run in "$name" "${name}_serial"; do
+    grep -v '^metrics written' "$tmp_dir/paper_$run.txt" \
+      > "$tmp_dir/paper_${run}_table.txt"
+  done
+  if ! cmp -s "$tmp_dir/paper_${name}_table.txt" \
+    "$tmp_dir/paper_${name}_serial_table.txt"
+  then
+    diff -u "$tmp_dir/paper_${name}_serial_table.txt" \
+      "$tmp_dir/paper_${name}_table.txt" >&2
+    echo "ERROR: --par-shards=4 changed the $name cell" >&2
+    exit 1
+  fi
+  if ! cmp -s "$tmp_dir/paper_$name.json" \
+    "$tmp_dir/paper_${name}_serial.json"
+  then
+    echo "ERROR: --par-shards=4 changed the $name metrics" >&2
+    exit 1
+  fi
+  echo "paper-scale: $name table and metrics identical at par-shards=1" \
+    "and 4"
+}
 # The fig7 motif parameters; expanded unquoted, one flag per word.
 fig7_motif="--motif=sweep3d --motif.nx=48 --motif.ny=48 --motif.nz=64"
 fig7_motif="$fig7_motif --motif.kba=8 --motif.vars=4"
 fig7_motif="$fig7_motif --motif.compute_per_cell=20ps"
-paper_gate halo3d torus3d static 60 1073741824 \
+paper_gate halo3d torus3d static rvma 60 1073741824 \
   --motif=halo3d --motif.nx=4 --motif.ny=4 --motif.nz=4 --motif.vars=4 \
   --motif.iterations=1 --motif.compute_per_cell=50ps
-paper_gate sweep3d torus3d static 60 263631667 --par-shards=4 --seed=2021 \
-  $fig7_motif
-paper_gate sweep3d_df dragonfly adaptive 10 254336614 \
-  --par-shards=4 --seed=2021 --bandwidth=2Tbps $fig7_motif \
-  --pdes-profile="$tmp_dir/paper_sweep3d_df_profile.json" \
-  --metrics="$tmp_dir/paper_sweep3d_df.json"
-if ! grep -q '"pdes.shard3\.' "$tmp_dir/paper_sweep3d_df_profile.json"; then
-  echo "ERROR: the sweep3d_df cell did not run on 4 shards" >&2
-  exit 1
-fi
-echo "paper-scale: serial replay of the sweep3d_df cell"
-"$build_dir/tools/rvma_run" "$tmp_dir/paper_cell.json" \
-  --topology=dragonfly --routing=adaptive --nodes=8192 --transport=rvma \
-  --par-shards=1 --seed=2021 --bandwidth=2Tbps $fig7_motif \
-  --metrics="$tmp_dir/paper_sweep3d_df_serial.json" \
-  > "$tmp_dir/paper_sweep3d_df_serial.txt"
-for run in sweep3d_df sweep3d_df_serial; do
-  grep -v '^metrics written' "$tmp_dir/paper_$run.txt" \
-    > "$tmp_dir/paper_${run}_table.txt"
-done
-if ! cmp -s "$tmp_dir/paper_sweep3d_df_table.txt" \
-  "$tmp_dir/paper_sweep3d_df_serial_table.txt"
-then
-  diff -u "$tmp_dir/paper_sweep3d_df_serial_table.txt" \
-    "$tmp_dir/paper_sweep3d_df_table.txt" >&2
-  echo "ERROR: --par-shards=4 changed the dragonfly-adaptive cell" >&2
-  exit 1
-fi
-if ! cmp -s "$tmp_dir/paper_sweep3d_df.json" \
-  "$tmp_dir/paper_sweep3d_df_serial.json"
-then
-  echo "ERROR: --par-shards=4 changed the dragonfly-adaptive metrics" >&2
-  exit 1
-fi
-echo "paper-scale: sweep3d_df table and metrics identical at par-shards=1" \
-  "and 4"
+paper_gate sweep3d torus3d static rvma 60 263631667 --par-shards=4 \
+  --seed=2021 $fig7_motif
+paper_sharded_gate sweep3d_df dragonfly adaptive rvma 10 254336614 \
+  --seed=2021 --bandwidth=2Tbps $fig7_motif
+paper_sharded_gate sweep3d_rdma torus3d static rdma 25 173492633 \
+  --seed=2021 $fig7_motif
 
 # --- Motif registry completeness gate -----------------------------------
 # `rvma_run --list` must name every built-in motif, including the

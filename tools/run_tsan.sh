@@ -9,7 +9,8 @@
 # scenario-layer tests (registry materialization plus the rvma_run grid
 # replay, which fans cells out over the executor), and the PDES tests (the ShardedEngine's
 # window barriers, cross-shard SPSC channels, and the windowed-vs-serial
-# exactness runs, which exercise the full multi-threaded shard path),
+# exactness runs, which exercise the full multi-threaded shard path,
+# RDMA handshakes and sockets connects included),
 # the lookahead-matrix tests (per-destination windows, unreachable-pair
 # handling, and windowed-vs-serial identity at K in {2,3,5}, including
 # every adaptive router: dragonfly-adaptive shards with UGAL's
